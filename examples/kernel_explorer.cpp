@@ -48,8 +48,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(m.bi.s));
 
   // --- SAL kernel ---
-  const auto seeds = chain::seeds_from_smems(
-      smems, opt.chaining, [&](idx_t row) { return index.sa_lookup_flat(row); });
+  std::vector<chain::Seed> seeds;
+  chain::seeds_from_smems(
+      smems, opt.chaining, [&](idx_t row) { return index.sa_lookup_flat(row); },
+      seeds);
   std::printf("\n== SAL: %zu seeds (interval rows -> positions) ==\n", seeds.size());
   for (std::size_t i = 0; i < seeds.size() && i < 12; ++i) {
     const auto& s = seeds[i];

@@ -4,7 +4,7 @@
 
 namespace mem2::align {
 
-ChainRef make_chain_ref(const ExtendContext& ctx, const chain::Chain& chain) {
+ChainRef chain_window(const ExtendContext& ctx, const chain::Chain& chain) {
   const MemOptions& opt = ctx.opt;
   const idx_t l_pac = ctx.index.l_pac();
   const int l_query = static_cast<int>(ctx.query.size());
@@ -44,8 +44,23 @@ ChainRef make_chain_ref(const ExtendContext& ctx, const chain::Chain& chain) {
       cref.rmax1 = std::min(cref.rmax1, 2 * l_pac - contig.offset);
     }
   }
-  cref.rseq = ctx.index.fetch(cref.rmax0, cref.rmax1);
-  cref.rseq_rev.assign(cref.rseq.rbegin(), cref.rseq.rend());
+  return cref;
+}
+
+void fetch_chain_window(const index::Mem2Index& index, ChainRef& cref,
+                        seq::Code* buf) {
+  const std::size_t n = cref.size();
+  index.fetch(cref.rmax0, cref.rmax1, buf);
+  std::reverse_copy(buf, buf + n, buf + n);
+  cref.rseq = {buf, n};
+  cref.rseq_rev = {buf + n, n};
+}
+
+ChainRef make_chain_ref(const ExtendContext& ctx, const chain::Chain& chain,
+                        std::vector<seq::Code>& storage) {
+  ChainRef cref = chain_window(ctx, chain);
+  storage.resize(2 * cref.size());
+  fetch_chain_window(ctx.index, cref, storage.data());
   return cref;
 }
 
@@ -85,6 +100,48 @@ void process_chains(const ExtendContext& ctx,
   const MemOptions& opt = ctx.opt;
   const int l_query = static_cast<int>(ctx.query.size());
 
+  // Containment side index: regions as (rb, index) sorted by rb.  A region
+  // containing seed s has rb <= s.rbeg and re >= s.rbeg + s.len, so only
+  // regions with rb in [s.rbeg + s.len - max_span, s.rbeg] can qualify.
+  std::vector<std::pair<idx_t, std::uint32_t>> by_rb;
+  idx_t max_span = 0;
+  const auto index_region = [&](std::size_t i) {
+    const AlnReg& p = regs[i];
+    const std::pair<idx_t, std::uint32_t> e{p.rb, static_cast<std::uint32_t>(i)};
+    by_rb.insert(std::upper_bound(by_rb.begin(), by_rb.end(), e), e);
+    max_span = std::max(max_span, p.re - p.rb);
+  };
+  for (std::size_t i = 0; i < regs.size(); ++i) index_region(i);
+  // bwa's test: some region contains the seed and the seed lies near its
+  // diagonal, so extending it cannot yield a better alignment.
+  const auto contained = [&](const chain::Seed& s) {
+    auto it = std::lower_bound(
+        by_rb.begin(), by_rb.end(),
+        std::pair<idx_t, std::uint32_t>{s.rbeg + s.len - max_span, 0});
+    for (; it != by_rb.end() && it->first <= s.rbeg; ++it) {
+      const AlnReg& p = regs[it->second];
+      if (s.rbeg < p.rb || s.rbeg + s.len > p.re || s.qbeg < p.qb ||
+          s.qbeg + s.len > p.qe)
+        continue;  // not fully contained
+      if (s.len - p.seedlen0 > .1 * l_query) continue;  // may yield a better aln
+      // Region ahead of the seed.
+      int qd = s.qbeg - p.qb;
+      idx_t rd = s.rbeg - p.rb;
+      int max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
+      int w = std::min(max_gap, p.w);
+      if (qd - rd < w && rd - qd < w) return true;  // seed is around the hit
+      // Region behind the seed.
+      qd = p.qe - (s.qbeg + s.len);
+      rd = p.re - (s.rbeg + s.len);
+      max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
+      w = std::min(max_gap, p.w);
+      if (qd - rd < w && rd - qd < w) return true;
+    }
+    return false;
+  };
+
+  std::vector<std::uint64_t> srt;
+  std::vector<seq::Code> window;  // on-demand chain windows
   for (int chain_idx = 0; chain_idx < static_cast<int>(chains.size()); ++chain_idx) {
     const chain::Chain& c = chains[static_cast<std::size_t>(chain_idx)];
     if (c.seeds.empty()) continue;
@@ -92,13 +149,13 @@ void process_chains(const ExtendContext& ctx,
     const ChainRef* cref = source.chain_ref(chain_idx);
     ChainRef local;
     if (!cref) {
-      local = make_chain_ref(ctx, c);
+      local = make_chain_ref(ctx, c, window);
       cref = &local;
     }
 
     // Seeds by ascending score; visited from the back (best first).
     const int n = static_cast<int>(c.seeds.size());
-    std::vector<std::uint64_t> srt(static_cast<std::size_t>(n));
+    srt.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       srt[static_cast<std::size_t>(i)] =
           static_cast<std::uint64_t>(c.seeds[static_cast<std::size_t>(i)].score) << 32 |
@@ -109,28 +166,7 @@ void process_chains(const ExtendContext& ctx,
       const int seed_idx = static_cast<int>(static_cast<std::uint32_t>(srt[static_cast<std::size_t>(k)]));
       const chain::Seed& s = c.seeds[static_cast<std::size_t>(seed_idx)];
 
-      // --- test whether this seed is contained in an existing region ---
-      std::size_t i;
-      for (i = 0; i < regs.size(); ++i) {
-        const AlnReg& p = regs[i];
-        if (s.rbeg < p.rb || s.rbeg + s.len > p.re || s.qbeg < p.qb ||
-            s.qbeg + s.len > p.qe)
-          continue;  // not fully contained
-        if (s.len - p.seedlen0 > .1 * l_query) continue;  // may yield a better aln
-        // Region ahead of the seed.
-        int qd = s.qbeg - p.qb;
-        idx_t rd = s.rbeg - p.rb;
-        int max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
-        int w = std::min(max_gap, p.w);
-        if (qd - rd < w && rd - qd < w) break;  // seed is around the hit
-        // Region behind the seed.
-        qd = p.qe - (s.qbeg + s.len);
-        rd = p.re - (s.rbeg + s.len);
-        max_gap = opt.cal_max_gap(static_cast<int>(std::min<idx_t>(qd, rd)));
-        w = std::min(max_gap, p.w);
-        if (qd - rd < w && rd - qd < w) break;
-      }
-      if (i < regs.size()) {
+      if (contained(s)) {
         // Contained: extend anyway only if a similar-length overlapping seed
         // with a different diagonal exists in this chain.
         int t;
@@ -231,6 +267,7 @@ void process_chains(const ExtendContext& ctx,
       a.seedlen0 = s.len;
       a.frac_rep = c.frac_rep;
       regs.push_back(a);
+      index_region(regs.size() - 1);
     }
   }
 }

@@ -21,11 +21,14 @@
 namespace mem2::align {
 
 /// Reference window of one chain (bwa's rmax + fetched rseq), plus its
-/// reversal for left extensions.
+/// reversal for left extensions.  The bases are views into caller-owned
+/// storage (the batch driver carves them from its batch arena).
 struct ChainRef {
   idx_t rmax0 = 0, rmax1 = 0;  // doubled coordinates, [rmax0, rmax1)
-  std::vector<seq::Code> rseq;
-  std::vector<seq::Code> rseq_rev;  // plain reversal (not complemented)
+  std::span<const seq::Code> rseq;
+  std::span<const seq::Code> rseq_rev;  // plain reversal (not complemented)
+
+  std::size_t size() const { return static_cast<std::size_t>(rmax1 - rmax0); }
 };
 
 struct ExtendContext {
@@ -35,7 +38,18 @@ struct ExtendContext {
   std::span<const seq::Code> query_rev;  // plain reversal of query
 };
 
-ChainRef make_chain_ref(const ExtendContext& ctx, const chain::Chain& chain);
+/// The window bounds [rmax0, rmax1) of a chain; rseq/rseq_rev stay empty.
+ChainRef chain_window(const ExtendContext& ctx, const chain::Chain& chain);
+
+/// Fetch cref's window into buf[0, 2 * cref.size()): the bases, then their
+/// reversal; cref's views point there.
+void fetch_chain_window(const index::Mem2Index& index, ChainRef& cref,
+                        seq::Code* buf);
+
+/// chain_window + fetch_chain_window into `storage` (resized to fit; the
+/// returned views live as long as its contents).
+ChainRef make_chain_ref(const ExtendContext& ctx, const chain::Chain& chain,
+                        std::vector<seq::Code>& storage);
 
 /// Left/right extension job construction (shared between the on-demand and
 /// the batch-enumeration paths so both produce byte-identical jobs).

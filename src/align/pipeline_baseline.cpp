@@ -82,7 +82,10 @@ void align_reads_baseline(const index::Mem2Index& index,
         chains = chain::build_chains(index.ref(), index.l_pac(), seeds,
                                      static_cast<int>(query.size()),
                                      options.mem.chaining, frac_rep);
+        util::SwCounters& cnt = util::tls_counters();
+        cnt.chains_built += chains.size();
         chain::filter_chains(chains, options.mem.chaining);
+        cnt.chains_kept += chains.size();
       }
       // BSW (on-demand scalar; extension bookkeeping counted as BSW-PRE).
       std::vector<AlnReg> regs;

@@ -23,13 +23,15 @@
 // paired SAM emission (pair/pairing.h) then run read-parallel per pair.
 //
 // Cross-batch buffers live in containers owned by BatchWorkspace whose
-// capacity persists, plus an Arena for the per-read code buffers: after the
-// first batch the steady state performs no system allocations (§3.2) —
-// except the per-batch reference-window fetches (ChainRef rseq and, in
-// paired mode, the rescue windows), which allocate like bwa's own
-// bns_fetch_seq does.  The
-// workspace is caller-owned so the streaming Aligner session can keep one
-// per worker across many chunks; align_reads_batch wraps a throwaway one.
+// capacity persists, plus an Arena for the per-read code buffers and the
+// chain reference windows (one block per read; BSW results sit in one flat
+// per-read table).  After the first batch the steady state performs no
+// system allocations for them (§3.2).  Still allocating per batch: the
+// chain lists themselves (one seed vector per chain) and, in paired mode,
+// the rescue windows, which allocate like bwa's own bns_fetch_seq does.
+// The workspace is caller-owned so the streaming Aligner session can keep
+// one per worker across many chunks; align_reads_batch wraps a throwaway
+// one.
 #include <omp.h>
 
 #include <algorithm>
@@ -66,10 +68,17 @@ struct ReadState {
   std::vector<chain::Seed> seeds;
   std::vector<chain::Chain> chains;
   double frac_rep = 0;
-  std::vector<ChainRef> crefs;
-  std::vector<std::vector<SeedJobResults>> table;  // [chain][seed]
+  std::vector<ChainRef> crefs;          // views into `windows`
+  seq::Code* windows = nullptr;         // batch-arena block for all chains
+  std::size_t window_codes = 0;         // its length: 2 * total window size
+  std::vector<std::uint32_t> seed_off;  // chain -> its first table slot
+  std::vector<SeedJobResults> table;    // [seed_off[chain] + seed]
   std::vector<AlnReg> regs;  // post-processed regions (sort_dedup + mark)
   std::uint64_t used = 0;
+
+  SeedJobResults& entry(std::uint32_t chain, std::uint32_t seed) {
+    return table[seed_off[chain] + seed];
+  }
 
   void clear() {
     aux_filled = false;
@@ -77,6 +86,9 @@ struct ReadState {
     seeds.clear();
     chains.clear();
     crefs.clear();
+    windows = nullptr;
+    window_codes = 0;
+    seed_off.clear();
     table.clear();
     regs.clear();
     used = 0;
@@ -130,8 +142,8 @@ class TableSource final : public SeedExtendSource {
 
   bsw::KswResult extend(int chain_idx, int seed_idx, int side, int band_try,
                         const bsw::ExtendJob&) override {
-    const auto& entry =
-        state_.table[static_cast<std::size_t>(chain_idx)][static_cast<std::size_t>(seed_idx)];
+    const auto& entry = state_.entry(static_cast<std::uint32_t>(chain_idx),
+                                     static_cast<std::uint32_t>(seed_idx));
     MEM2_REQUIRE(entry.have[side][band_try], "missing precomputed extension");
     ++state_.used;
     return entry.res[side][band_try];
@@ -331,13 +343,19 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
         rs.chains = chain::build_chains(index.ref(), index.l_pac(), rs.seeds,
                                         static_cast<int>(rs.query.size()),
                                         options.mem.chaining, rs.frac_rep);
+        util::SwCounters& cnt = util::tls_counters();
+        cnt.chains_built += rs.chains.size();
         chain::filter_chains(rs.chains, options.mem.chaining);
+        cnt.chains_kept += rs.chains.size();
       });
     }
     st[util::Stage::kChain] += timer.seconds();
     chain_span.finish();
 
-    // --- BSW pre-processing: chain windows + table layout ---
+    // --- BSW pre-processing: chain windows + flat result table.  Window
+    // bounds and table offsets first; then one serial pass carves each
+    // read's windows from the batch arena (bump allocations, no locks);
+    // then the fetches fill them. ---
     util::TraceSpan pre_span("bsw-pre");
     timer.restart();
 #pragma omp for schedule(dynamic, 8)
@@ -350,11 +368,35 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
         for (std::size_t j = 0; j < rs.query.size(); ++j)
           rs.query_rev[rs.query.size() - 1 - j] = rs.query[j];
         ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-        rs.crefs.reserve(rs.chains.size());
-        rs.table.resize(rs.chains.size());
-        for (std::size_t ci = 0; ci < rs.chains.size(); ++ci) {
-          rs.crefs.push_back(make_chain_ref(ctx, rs.chains[ci]));
-          rs.table[ci].assign(rs.chains[ci].seeds.size(), SeedJobResults{});
+        const std::size_t n_chains = rs.chains.size();
+        rs.crefs.resize(n_chains);
+        rs.seed_off.resize(n_chains);
+        std::uint32_t n_seeds = 0;
+        for (std::size_t ci = 0; ci < n_chains; ++ci) {
+          rs.crefs[ci] = chain_window(ctx, rs.chains[ci]);
+          rs.window_codes += 2 * rs.crefs[ci].size();
+          rs.seed_off[ci] = n_seeds;
+          n_seeds += static_cast<std::uint32_t>(rs.chains[ci].seeds.size());
+        }
+        rs.table.assign(n_seeds, SeedJobResults{});
+      });
+    }
+#pragma omp single
+    guard.run([&] {
+      for (int i = 0; i < nb; ++i) {
+        ReadState& rs = states[static_cast<std::size_t>(i)];
+        if (!rs.crefs.empty())
+          rs.windows = arena.allocate_array<seq::Code>(rs.window_codes);
+      }
+    });
+#pragma omp for schedule(dynamic, 8)
+    for (int i = 0; i < nb; ++i) {
+      guard.run([&] {
+        ReadState& rs = states[static_cast<std::size_t>(i)];
+        seq::Code* buf = rs.windows;
+        for (ChainRef& cref : rs.crefs) {
+          fetch_chain_window(index, cref, buf);
+          buf += 2 * cref.size();
         }
       });
     }
@@ -407,7 +449,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
                    stats ? &stats->bsw_batch : nullptr);
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         const JobRef& ref = refs[j];
-        auto& entry = states[ref.read].table[ref.chain][ref.seed];
+        auto& entry = states[ref.read].entry(ref.chain, ref.seed);
         entry.res[ref.side][ref.bt] = results[j];
         entry.have[ref.side][ref.bt] = true;
       }
@@ -438,7 +480,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
     enumerate(static_cast<int>(prev_refs.size()), [&](int k, JobBlock& jb) {
       const JobRef& ref = prev_refs[static_cast<std::size_t>(k)];
       ReadState& rs = states[ref.read];
-      const auto& e = rs.table[ref.chain][ref.seed];
+      const auto& e = rs.entry(ref.chain, ref.seed);
       const auto& r1 = e.res[0][0];
       if (!band_retry_needed(r1.score, -1, r1.max_off, options.mem.w)) return;
       ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
@@ -458,7 +500,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
           const chain::Seed& s = rs.chains[ci].seeds[si];
           if (s.qbeg + s.len == l_query) continue;
           const int sc0 =
-              left_final_score(rs.table[ci][si], s, options.mem.ksw.a);
+              left_final_score(rs.table[rs.seed_off[ci] + si], s, options.mem.ksw.a);
           const auto job = make_right_job(ctx, rs.crefs[ci], s, options.mem.w, sc0);
           if (job.tlen == 0) continue;
           jb.jobs.push_back(job);
@@ -475,7 +517,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
       const JobRef& ref = prev_refs[static_cast<std::size_t>(k)];
       ReadState& rs = states[ref.read];
       const chain::Seed& s = rs.chains[ref.chain].seeds[ref.seed];
-      const auto& e = rs.table[ref.chain][ref.seed];
+      const auto& e = rs.entry(ref.chain, ref.seed);
       const int sc0 = left_final_score(e, s, options.mem.ksw.a);
       const auto& r1 = e.res[1][0];
       if (!band_retry_needed(r1.score, sc0, r1.max_off, options.mem.w)) return;

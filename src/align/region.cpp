@@ -14,13 +14,21 @@ void sort_dedup_regions(std::vector<AlnReg>& regs, const MemOptions& opt) {
     return a.qe < b.qe;
   });
   // Drop a region when a neighbour covers (mask_level_redun) of it on both
-  // query and reference with a better-or-equal score.
+  // query and reference with a better-or-equal score.  Regions arrive in rb
+  // order, so a kept region ending at or before r.rb can neither overlap r
+  // nor any later region: it leaves the scan (`live`, in kept order) for
+  // good, which keeps repeat reads with hundreds of disjoint regions linear.
   std::vector<AlnReg> kept;
+  std::vector<std::uint32_t> live;
   kept.reserve(regs.size());
   for (const auto& r : regs) {
     bool redundant = false;
-    for (auto& k : kept) {
-      if (k.rid != r.rid) continue;
+    std::size_t n_live = 0;
+    for (const std::uint32_t ki : live) {
+      AlnReg& k = kept[ki];
+      if (k.re <= r.rb) continue;  // retired
+      live[n_live++] = ki;
+      if (redundant || k.rid != r.rid) continue;
       const idx_t rb_max = std::max(k.rb, r.rb);
       const idx_t re_min = std::min(k.re, r.re);
       const int qb_max = std::max(k.qb, r.qb);
@@ -33,10 +41,13 @@ void sort_dedup_regions(std::vector<AlnReg>& regs, const MemOptions& opt) {
       if (ovlp >= r_span * opt.mask_level_redun) {
         if (r.score > k.score) k = r;  // keep the better of the two
         redundant = true;
-        break;
       }
     }
-    if (!redundant) kept.push_back(r);
+    live.resize(n_live);
+    if (!redundant) {
+      live.push_back(static_cast<std::uint32_t>(kept.size()));
+      kept.push_back(r);
+    }
   }
   regs = std::move(kept);
 }

@@ -3,12 +3,16 @@
 //
 // Seeds (SMEM occurrences located via SAL) are greedily merged into chains
 // of collinear, nearby seeds; chains are weighted by non-overlapping seed
-// coverage and filtered by overlap dominance.  The paper does not optimize
-// this stage (Table 1: ~6%), so a single implementation serves both
-// drivers — which is also what keeps their outputs identical.
+// coverage and filtered by overlap dominance.  The paper profiles this
+// stage at ~6% of BWA-MEM (Table 1) and leaves it alone, but reads from
+// low-divergence repeat families keep hundreds of equal-weight chains, and
+// bwa's pairwise loops made CHAIN the largest single-thread stage here.
+// Both passes are therefore linear in distinct work (see build_chains and
+// filter_chains) while reproducing bwa's output exactly.  A single
+// implementation serves both drivers — which is also what keeps their
+// outputs identical.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -76,13 +80,6 @@ void seeds_from_smems(std::span<const smem::Smem> smems, const ChainOptions& opt
   }
 }
 
-/// Type-erased suffix-array lookup callback, kept as a compatibility shim
-/// for tests and exploratory code; hot paths use the template above or the
-/// batched gather below.
-using SalFn = std::function<idx_t(idx_t)>;
-std::vector<Seed> seeds_from_smems(std::span<const smem::Smem> smems,
-                                   const ChainOptions& opt, const SalFn& sal);
-
 /// Batched SAL (paper §4.5 with the §4.3 prefetch discipline): first
 /// materialize every sampled BW row into the seed list, then resolve
 /// rows -> positions against the flat SA with a wave of software prefetches
@@ -102,6 +99,8 @@ double repetitive_fraction(std::span<const smem::Smem> smems, int l_query,
 
 /// Greedy chain construction over seeds in SMEM order (bwa mem_chain).
 /// Seeds whose interval crosses contig/strand boundaries are dropped.
+/// Chains per read are usually tens but reach ~500 on repeat reads (p99 on
+/// the 4 Mbp benchmark genome), so the key index never moves chains.
 std::vector<Chain> build_chains(const seq::Reference& ref, idx_t l_pac,
                                 std::span<const Seed> seeds, int l_query,
                                 const ChainOptions& opt, double frac_rep);
@@ -111,7 +110,8 @@ std::vector<Chain> build_chains(const seq::Reference& ref, idx_t l_pac,
 int chain_weight(const Chain& chain);
 
 /// Weight + overlap filtering (bwa mem_chain_flt); chains are reordered by
-/// decreasing weight and dropped chains removed.
+/// decreasing weight and dropped chains removed.  Each chain is tested once
+/// per distinct kept (query box, weight), not once per kept chain.
 void filter_chains(std::vector<Chain>& chains, const ChainOptions& opt);
 
 }  // namespace mem2::chain

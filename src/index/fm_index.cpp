@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <chrono>
 
 #include "index/mem2_index.h"
@@ -114,21 +115,27 @@ Mem2Index Mem2Index::build(seq::Reference ref, const IndexBuildOptions& opt) {
 }
 
 std::vector<seq::Code> Mem2Index::fetch(idx_t rb, idx_t re) const {
+  std::vector<seq::Code> out(static_cast<std::size_t>(std::max<idx_t>(re - rb, 0)));
+  fetch(rb, re, out.data());
+  return out;
+}
+
+void Mem2Index::fetch(idx_t rb, idx_t re, seq::Code* out) const {
   MEM2_REQUIRE(rb >= 0 && rb <= re && re <= seq_len(), "fetch out of range");
   const idx_t L = l_pac();
-  std::vector<seq::Code> out;
-  out.reserve(static_cast<std::size_t>(re - rb));
   if (re <= L) {
-    for (idx_t p = rb; p < re; ++p) out.push_back(ref_.base(p));
+    ref_.pac().extract(static_cast<std::size_t>(rb), static_cast<std::size_t>(re), out);
   } else if (rb >= L) {
     // Entirely on the reverse strand: position p maps to forward
     // coordinate 2L-1-p, complemented, read in increasing p order.
-    for (idx_t p = rb; p < re; ++p)
-      out.push_back(seq::complement(ref_.base(2 * L - 1 - p)));
+    const std::size_t n = static_cast<std::size_t>(re - rb);
+    ref_.pac().extract(static_cast<std::size_t>(2 * L - re),
+                       static_cast<std::size_t>(2 * L - rb), out);
+    std::reverse(out, out + n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = seq::complement(out[i]);
   } else {
     MEM2_REQUIRE(false, "fetch range must not cross the strand boundary");
   }
-  return out;
 }
 
 }  // namespace mem2::index

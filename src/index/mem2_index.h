@@ -68,6 +68,8 @@ class Mem2Index {
   /// doubled coordinate space: positions >= l_pac read from the reverse
   /// complement strand (bwa's bns_get_seq semantics).
   std::vector<seq::Code> fetch(idx_t rb, idx_t re) const;
+  /// The same bases written to out[0, re - rb).
+  void fetch(idx_t rb, idx_t re, seq::Code* out) const;
 
   std::size_t memory_bytes() const {
     return fm128_.memory_bytes() + fm32_.memory_bytes() +

@@ -1,6 +1,8 @@
 #include "seq/pack.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "util/rng.h"
 
@@ -8,7 +10,18 @@ namespace mem2::seq {
 
 void PackedSequence::extract(std::size_t begin, std::size_t end, Code* out) const {
   MEM2_REQUIRE(begin <= end && end <= size_, "PackedSequence::extract out of range");
-  for (std::size_t i = begin; i < end; ++i) out[i - begin] = (*this)[i];
+  // Whole bytes unpack four codes at a time through a 256-entry table.
+  static const auto kUnpack = [] {
+    std::array<std::array<Code, 4>, 256> t{};
+    for (int b = 0; b < 256; ++b)
+      for (int k = 0; k < 4; ++k) t[b][k] = static_cast<Code>((b >> (2 * k)) & 3);
+    return t;
+  }();
+  std::size_t i = begin;
+  for (; i < end && (i & 3); ++i) *out++ = (*this)[i];
+  for (; i + 4 <= end; i += 4, out += 4)
+    std::memcpy(out, kUnpack[data_[i >> 2]].data(), 4);
+  for (; i < end; ++i) *out++ = (*this)[i];
 }
 
 std::vector<Code> PackedSequence::extract(std::size_t begin, std::size_t end) const {

@@ -161,6 +161,8 @@ const std::vector<SwCounterField>& sw_counter_fields() {
       {"sa_lookups", &SwCounters::sa_lookups},
       {"sa_lf_steps", &SwCounters::sa_lf_steps},
       {"sa_memory_loads", &SwCounters::sa_memory_loads},
+      {"chains_built", &SwCounters::chains_built},
+      {"chains_kept", &SwCounters::chains_kept},
       {"bsw_pairs", &SwCounters::bsw_pairs},
       {"bsw_cells_total", &SwCounters::bsw_cells_total},
       {"bsw_cells_useful", &SwCounters::bsw_cells_useful},

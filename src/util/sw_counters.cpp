@@ -13,6 +13,8 @@ SwCounters& SwCounters::operator-=(const SwCounters& o) {
   sa_lookups -= o.sa_lookups;
   sa_lf_steps -= o.sa_lf_steps;
   sa_memory_loads -= o.sa_memory_loads;
+  chains_built -= o.chains_built;
+  chains_kept -= o.chains_kept;
   bsw_pairs -= o.bsw_pairs;
   bsw_cells_total -= o.bsw_cells_total;
   bsw_cells_useful -= o.bsw_cells_useful;
@@ -37,6 +39,8 @@ SwCounters& SwCounters::operator+=(const SwCounters& o) {
   sa_lookups += o.sa_lookups;
   sa_lf_steps += o.sa_lf_steps;
   sa_memory_loads += o.sa_memory_loads;
+  chains_built += o.chains_built;
+  chains_kept += o.chains_kept;
   bsw_pairs += o.bsw_pairs;
   bsw_cells_total += o.bsw_cells_total;
   bsw_cells_useful += o.bsw_cells_useful;
@@ -62,6 +66,8 @@ std::string SwCounters::summary() const {
      << " sa_lookups=" << sa_lookups
      << " sa_lf_steps=" << sa_lf_steps
      << " sa_loads=" << sa_memory_loads
+     << " chains_built=" << chains_built
+     << " chains_kept=" << chains_kept
      << " bsw_pairs=" << bsw_pairs
      << " bsw_cells_total=" << bsw_cells_total
      << " bsw_cells_useful=" << bsw_cells_useful

@@ -27,6 +27,10 @@ struct SwCounters {
   std::uint64_t sa_lf_steps = 0;        // LF walk steps (0 for flat SA)
   std::uint64_t sa_memory_loads = 0;    // distinct memory loads performed
 
+  // CHAIN stage (per read: build_chains output, filter_chains survivors)
+  std::uint64_t chains_built = 0;
+  std::uint64_t chains_kept = 0;
+
   // BSW kernel
   std::uint64_t bsw_pairs = 0;
   std::uint64_t bsw_cells_total = 0;    // all SIMD-lane cells computed

@@ -155,7 +155,8 @@ TEST(ChainRef, WindowCoversSeedsAndClampsToContig) {
   chain::Chain c;
   c.rid = 0;
   c.seeds = {{1000, 10, 50, 50}};
-  const ChainRef cref = make_chain_ref(ctx, c);
+  std::vector<seq::Code> window;
+  const ChainRef cref = make_chain_ref(ctx, c, window);
   EXPECT_LE(cref.rmax0, 1000);
   EXPECT_GE(cref.rmax1, 1050);
   EXPECT_GE(cref.rmax0, 0);
@@ -175,7 +176,8 @@ TEST(ChainRef, ReverseStrandSeedStaysOnReverseHalf) {
   chain::Chain c;
   c.rid = 0;
   c.seeds = {{L + 1000, 10, 50, 50}};
-  const ChainRef cref = make_chain_ref(ctx, c);
+  std::vector<seq::Code> window;
+  const ChainRef cref = make_chain_ref(ctx, c, window);
   EXPECT_GE(cref.rmax0, L);  // clamped to the reverse half
   EXPECT_LE(cref.rmax1, 2 * L);
 }
@@ -189,7 +191,8 @@ TEST(ExtendJobs, LeftJobIsReversedPrefix) {
   chain::Chain c;
   c.rid = 0;
   c.seeds = {{2030, 30, 40, 40}};  // query[30,70) at ref 2030
-  const ChainRef cref = make_chain_ref(ctx, c);
+  std::vector<seq::Code> window;
+  const ChainRef cref = make_chain_ref(ctx, c, window);
   const auto job = make_left_job(ctx, cref, c.seeds[0], fx.opt.w);
   ASSERT_EQ(job.qlen, 30);
   // job.query[0] must be query[29], job.query[29] == query[0].
@@ -210,7 +213,8 @@ TEST(ExtendJobs, RightJobIsSuffixWithLeftScore) {
   chain::Chain c;
   c.rid = 0;
   c.seeds = {{2030, 30, 40, 40}};
-  const ChainRef cref = make_chain_ref(ctx, c);
+  std::vector<seq::Code> window;
+  const ChainRef cref = make_chain_ref(ctx, c, window);
   const auto job = make_right_job(ctx, cref, c.seeds[0], fx.opt.w, 77);
   ASSERT_EQ(job.qlen, 30);  // 100 - (30+40)
   EXPECT_EQ(job.query[0], q[70]);

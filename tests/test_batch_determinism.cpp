@@ -42,6 +42,7 @@ TEST(BatchDeterminism, IdenticalSamAndStatsAcrossThreadCounts) {
   Fixture fx;
   std::vector<std::string> ref_sam;
   std::uint64_t ref_computed = 0, ref_used = 0;
+  util::SwCounters ref_counters;
   for (int threads : {1, 2, 8}) {
     DriverOptions opt;
     opt.mode = Mode::kBatch;
@@ -50,15 +51,20 @@ TEST(BatchDeterminism, IdenticalSamAndStatsAcrossThreadCounts) {
     DriverStats stats;
     const auto sam = sam_lines(align_reads(fx.index, fx.reads, opt, &stats));
     ASSERT_GT(stats.extensions_computed, 0u);
+    ASSERT_GE(stats.counters.chains_built, stats.counters.chains_kept);
+    ASSERT_GT(stats.counters.chains_kept, fx.reads.size());  // repeats: >1 per read
     if (threads == 1) {
       ref_sam = sam;
       ref_computed = stats.extensions_computed;
       ref_used = stats.extensions_used;
+      ref_counters = stats.counters;
       continue;
     }
     ASSERT_EQ(sam, ref_sam) << "threads=" << threads;
     EXPECT_EQ(stats.extensions_computed, ref_computed) << "threads=" << threads;
     EXPECT_EQ(stats.extensions_used, ref_used) << "threads=" << threads;
+    EXPECT_EQ(stats.counters.chains_built, ref_counters.chains_built) << "threads=" << threads;
+    EXPECT_EQ(stats.counters.chains_kept, ref_counters.chains_kept) << "threads=" << threads;
   }
 }
 

@@ -135,10 +135,14 @@ TEST(SeedsFromSmems, SamplesCappedByMaxOcc) {
   smems[0].qb = 0;
   smems[0].qe = 25;
   int calls = 0;
-  const auto seeds = seeds_from_smems(smems, opt, [&](idx_t row) {
-    ++calls;
-    return row * 7;  // fake SAL
-  });
+  std::vector<Seed> seeds;
+  seeds_from_smems(
+      smems, opt,
+      [&](idx_t row) {
+        ++calls;
+        return row * 7;  // fake SAL
+      },
+      seeds);
   EXPECT_EQ(seeds.size(), 4u);  // capped
   EXPECT_EQ(calls, 4);
   // Stepped sampling: rows 100, 102, 104, 106 (step = 10/4 = 2).

@@ -31,6 +31,21 @@ TEST(IndexFetch, ReverseHalfIsReverseComplement) {
               seq::complement(idx.ref().base(L - 1 - (10 + i))));
 }
 
+TEST(IndexFetch, EveryAlignmentMatchesPerBaseDefinition) {
+  const auto idx = Mem2Index::build(seq::random_genome(3001, 6));
+  const idx_t L = idx.l_pac();
+  for (const idx_t base : {idx_t{0}, idx_t{1500}, L - 40, L, L + 777, 2 * L - 40})
+    for (idx_t b = base; b < base + 12; ++b)
+      for (idx_t e = b; e <= base + 40; ++e) {
+        const auto got = idx.fetch(b, e);
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(e - b));
+        for (idx_t p = b; p < e; ++p)
+          ASSERT_EQ(got[static_cast<std::size_t>(p - b)],
+                    p < L ? idx.ref().base(p) : seq::complement(idx.ref().base(2 * L - 1 - p)))
+              << b << ".." << e << " at " << p;
+      }
+}
+
 TEST(IndexFetch, RejectsStrandCrossing) {
   const auto idx = Mem2Index::build(seq::random_genome(2000, 5));
   const idx_t L = idx.l_pac();

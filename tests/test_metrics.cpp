@@ -192,8 +192,10 @@ TEST(PromWriter, HistogramIsCumulativeSparseAndCapped) {
 TEST(SwCounterMapping, IsTotalAndDistinct) {
   const auto& fields = sw_counter_fields();
   // Every field of SwCounters is a uint64; the table must cover the whole
-  // struct, each member exactly once.
+  // struct, each member exactly once (22 counters, chains_built/kept
+  // included).
   EXPECT_EQ(fields.size() * sizeof(std::uint64_t), sizeof(SwCounters));
+  EXPECT_EQ(sizeof(SwCounters), 22 * sizeof(std::uint64_t));
   std::set<std::string> names;
   SwCounters probe{};
   std::uint64_t stamp = 1;
@@ -210,12 +212,16 @@ TEST(SwCounterMapping, WritesEveryFieldAsPrometheusCounter) {
   SwCounters c{};
   c.smems_found = 7;
   c.pe_proper_pairs = 9;
+  c.chains_built = 11;
+  c.chains_kept = 5;
   std::ostringstream os;
   PromWriter w(os);
   write_sw_counters(w, c);
   const std::string out = os.str();
   EXPECT_NE(out.find("mem2_sw_smems_found_total 7\n"), std::string::npos);
   EXPECT_NE(out.find("mem2_sw_pe_proper_pairs_total 9\n"), std::string::npos);
+  EXPECT_NE(out.find("mem2_sw_chains_built_total 11\n"), std::string::npos);
+  EXPECT_NE(out.find("mem2_sw_chains_kept_total 5\n"), std::string::npos);
   for (const auto& f : sw_counter_fields())
     EXPECT_NE(out.find("mem2_sw_" + std::string(f.name) + "_total"),
               std::string::npos);

@@ -64,6 +64,10 @@ TEST(Pipeline, BaselineAndBatchProduceIdenticalSam) {
   EXPECT_GE(s_batch.extensions_computed, s_batch.extensions_used);
   EXPECT_GT(s_batch.extensions_used, 0u);
   EXPECT_EQ(s_base.extensions_computed, s_base.extensions_used);
+  // Both drivers run the same CHAIN code, so they count the same chains.
+  EXPECT_GT(s_base.counters.chains_kept, 0u);
+  EXPECT_EQ(s_base.counters.chains_built, s_batch.counters.chains_built);
+  EXPECT_EQ(s_base.counters.chains_kept, s_batch.counters.chains_kept);
 }
 
 TEST(Pipeline, IdenticalAcrossBatchSizes) {

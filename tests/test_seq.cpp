@@ -63,6 +63,12 @@ TEST(PackedSequence, StoresAndExtracts) {
   ASSERT_EQ(p.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(p[i], ref[i]);
   EXPECT_EQ(p.extract(100, 200), std::vector<Code>(ref.begin() + 100, ref.begin() + 200));
+  // Every alignment of begin/end against the 4-code bytes.
+  for (std::size_t b = 0; b < 24; ++b)
+    for (std::size_t e = b; e < 40; ++e)
+      ASSERT_EQ(p.extract(b, e), std::vector<Code>(ref.begin() + static_cast<std::ptrdiff_t>(b),
+                                                  ref.begin() + static_cast<std::ptrdiff_t>(e)))
+          << b << ".." << e;
 }
 
 TEST(PackedSequence, RejectsAmbiguousCodes) {

@@ -188,21 +188,6 @@ TEST(SalBatched, IdenticalToCallbackGather) {
   }
 }
 
-TEST(SalBatched, CompatibilityShimStillWorks) {
-  const auto& fx = fixture();
-  SmemWorkspace ws;
-  std::vector<Smem> smems;
-  collect_smems(fx.index.fm32(), fx.queries.front(), SeedingOptions{}, smems,
-                ws, util::PrefetchPolicy{true});
-  const chain::SalFn sal = [&](idx_t row) { return fx.index.sa_lookup_flat(row); };
-  const auto via_shim = chain::seeds_from_smems(smems, chain::ChainOptions{}, sal);
-  std::vector<chain::Seed> direct;
-  chain::seeds_from_smems(smems, chain::ChainOptions{},
-                          [&](idx_t row) { return fx.index.sa_lookup_flat(row); },
-                          direct);
-  EXPECT_EQ(via_shim, direct);
-}
-
 TEST(SmemExecutor, PipelineSamInvariantAcrossInflight) {
   // End-to-end: the batch driver's SAM output must not depend on K.
   const auto& fx = fixture();
