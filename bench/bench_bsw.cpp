@@ -70,11 +70,12 @@ Run run_simd(const std::vector<bsw::ExtendJob>& jobs, const bsw::KswParams& p,
   bsw::BswBatchOptions opt;
   opt.force_16bit = force16;
   opt.sort_by_length = sort;
+  static bsw::BswExecutor serial(1);  // workspace stays warm across rows
   Run run;
   util::Timer t;
   perf.start();
   std::vector<bsw::KswResult> out;
-  bsw::extend_batch(jobs, out, p, opt, nullptr);
+  serial.run(jobs, out, p, opt, nullptr);
   run.hw = perf.stop();
   run.seconds = t.seconds();
   run.ctr = util::tls_counters();
@@ -138,25 +139,12 @@ int main() {
   // Parallel executor vs the serial batched path, same auto-split job pool.
   {
     const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    bench::print_header("BswExecutor: parallel chunk dispatch vs serial extend_batch (hw threads: " +
+    bench::print_header("BswExecutor: parallel chunk dispatch vs serial (hw threads: " +
                         std::to_string(hw) + ")");
-    // Same protocol as run_executor (warm-up + best of 3) so the
-    // comparison is symmetric.
-    Run serial;
-    {
-      std::vector<bsw::KswResult> out;
-      bsw::extend_batch(jobs, out, mopt.ksw);  // warm the shim's workspace
-      serial.seconds = 1e30;
-      for (int rep = 0; rep < 3; ++rep) {
-        util::Timer t;
-        bsw::extend_batch(jobs, out, mopt.ksw);
-        serial.seconds = std::min(serial.seconds, t.seconds());
-      }
-      serial.checksum = ksw_checksum(out);
-    }
+    const Run serial = run_executor(jobs, mopt.ksw, 1);
     bench::print_row("Configuration", {"time (s)", "speedup", "identical"});
-    bench::print_row("serial extend_batch", {bench::fmt(serial.seconds, 3), "1.00x", "-"});
-    std::vector<int> sweep = {1, 2, 4};
+    bench::print_row("serial executor x1", {bench::fmt(serial.seconds, 3), "1.00x", "-"});
+    std::vector<int> sweep = {2, 4};
     if (hw > 4) sweep.push_back(hw);
     bool all_identical = true;
     for (int threads : sweep) {
@@ -169,7 +157,7 @@ int main() {
                         same ? "yes" : "NO"});
     }
     if (!all_identical) {
-      std::printf("ERROR: executor results differ from serial extend_batch!\n");
+      std::printf("ERROR: executor results differ from the serial executor!\n");
       return 1;
     }
   }

@@ -6,6 +6,7 @@
 // per-row band bookkeeping take the rest (this is the paper's explanation
 // for why the 64-lane engine does not get 64x).
 #include "bench_common.h"
+#include "bsw/bsw_executor.h"
 #include "job_harvest.h"
 
 using namespace mem2;
@@ -30,7 +31,7 @@ int main() {
   opt.sort_by_length = true;
   bsw::BswBatchStats stats;
   std::vector<bsw::KswResult> out;
-  bsw::extend_batch(jobs8, out, mopt.ksw, opt, &stats);
+  bsw::BswExecutor(1).run(jobs8, out, mopt.ksw, opt, &stats);
 
   const auto& bd = stats.breakdown;
   const double total = bd.total() + stats.sort_seconds;

@@ -14,9 +14,10 @@
 // written to BENCH_pe.json.  --smoke caps the workload for CI.
 //
 // --trace-overhead gates the observability contract: tracing compiled in
-// but DISABLED must cost < 1% of the batch-driver run (measured as
-// span-site count x per-site disabled cost), and enabling tracing must
-// leave the SAM byte-identical.  Writes BENCH_trace_overhead.json.
+// but DISABLED must cost < 1% of the batch-driver run (measured as sites
+// hit per run x per-site disabled cost, for TraceSpan sites and for the
+// StageSpan stage clock separately), and enabling tracing must leave the
+// SAM byte-identical.  Writes BENCH_trace_overhead.json.
 #include <algorithm>
 #include <cstring>
 #include <thread>
@@ -251,39 +252,63 @@ int run_trace_overhead(bool smoke) {
   const int reps = smoke ? 3 : 5;
   std::vector<std::string> sam_off, sam_on;
   std::vector<double> off, on;
-  std::uint64_t spans_per_run = 0;
+  std::uint64_t trace_sites = 0, stage_sites = 0;  // hit per run
   for (int r = 0; r < reps; ++r)
     off.push_back(run_once(r == 0 ? &sam_off : nullptr));
   for (int r = 0; r < reps; ++r) {
     tracer.enable();
     on.push_back(run_once(r == 0 ? &sam_on : nullptr));
     tracer.disable();
-    spans_per_run = tracer.recorded();
+    trace_sites = stage_sites = 0;
+    for (const auto& a : tracer.aggregate()) {
+      bool is_stage = false;
+      for (int s = 0; s < static_cast<int>(util::Stage::kCount); ++s)
+        is_stage |= a.name == util::stage_name(static_cast<util::Stage>(s));
+      (is_stage ? stage_sites : trace_sites) += a.count;
+    }
   }
+  const std::uint64_t spans_per_run = trace_sites + stage_sites;
   const bool identical = sam_off == sam_on;
 
-  // Disabled-site micro-cost: the contract is one relaxed load + branch.
-  // Gate the *measured* product (sites hit per run x ns per disabled site)
-  // against 1% of the run — robust to machine noise, unlike an A/B of two
-  // full runs whose jitter exceeds the effect being measured.
+  // Disabled-site micro-costs.  A TraceSpan is one relaxed load + branch;
+  // a StageSpan on the thread that bound a stage table (as every stage
+  // site of this 1-thread run is) also reads the TSC twice and books its
+  // self time.  Gate the *measured* product (sites hit per run x ns per
+  // disabled site, per kind) against 1% of the run — robust to machine
+  // noise, unlike an A/B of two full runs whose jitter exceeds the effect
+  // being measured.
   const std::size_t iters = smoke ? 5'000'000 : 20'000'000;
   util::Timer mt;
   for (std::size_t i = 0; i < iters; ++i) {
     util::TraceSpan probe("overhead-probe");
   }
-  const double ns_per_site = 1e9 * mt.seconds() / static_cast<double>(iters);
+  const double ns_per_trace_site = 1e9 * mt.seconds() / static_cast<double>(iters);
+  util::StageTimes probe_table;
+  {
+    util::StageSpan root(util::Stage::kMisc, &probe_table);
+    mt.restart();
+    for (std::size_t i = 0; i < iters; ++i) {
+      util::StageSpan probe(util::Stage::kSmem);
+    }
+  }
+  const double ns_per_stage_site = 1e9 * mt.seconds() / static_cast<double>(iters);
 
   const double t_off = median(off), t_on = median(on);
   const double disabled_pct =
-      100.0 * (static_cast<double>(spans_per_run) * ns_per_site) / (t_off * 1e9);
+      100.0 *
+      (static_cast<double>(trace_sites) * ns_per_trace_site +
+       static_cast<double>(stage_sites) * ns_per_stage_site) /
+      (t_off * 1e9);
   const double enabled_pct = 100.0 * (t_on - t_off) / t_off;
 
   bench::print_header("Tracing overhead: batch driver on D2, 1 thread");
   bench::print_row("Metric", {"value"});
   bench::print_row("disabled run (median s)", {bench::fmt(t_off, 3)});
   bench::print_row("enabled run (median s)", {bench::fmt(t_on, 3)});
-  bench::print_row("span sites hit per run", {bench::fmt_int(spans_per_run)});
-  bench::print_row("disabled cost per site (ns)", {bench::fmt(ns_per_site, 2)});
+  bench::print_row("TraceSpan sites hit per run", {bench::fmt_int(trace_sites)});
+  bench::print_row("StageSpan sites hit per run", {bench::fmt_int(stage_sites)});
+  bench::print_row("disabled cost per TraceSpan (ns)", {bench::fmt(ns_per_trace_site, 2)});
+  bench::print_row("disabled cost per StageSpan (ns)", {bench::fmt(ns_per_stage_site, 2)});
   bench::print_row("disabled overhead (gate < 1%)",
                    {bench::fmt(disabled_pct, 4) + "%"});
   bench::print_row("enabled overhead (advisory)",
@@ -299,7 +324,11 @@ int run_trace_overhead(bool smoke) {
                  t_off, t_on);
     std::fprintf(f, "  \"spans_per_run\": %llu,\n",
                  static_cast<unsigned long long>(spans_per_run));
-    std::fprintf(f, "  \"disabled_ns_per_site\": %.3f,\n", ns_per_site);
+    std::fprintf(f, "  \"trace_sites_per_run\": %llu,\n  \"stage_sites_per_run\": %llu,\n",
+                 static_cast<unsigned long long>(trace_sites),
+                 static_cast<unsigned long long>(stage_sites));
+    std::fprintf(f, "  \"disabled_ns_per_trace_site\": %.3f,\n", ns_per_trace_site);
+    std::fprintf(f, "  \"disabled_ns_per_stage_site\": %.3f,\n", ns_per_stage_site);
     std::fprintf(f, "  \"disabled_overhead_pct\": %.6f,\n", disabled_pct);
     std::fprintf(f, "  \"enabled_overhead_pct\": %.3f,\n", enabled_pct);
     std::fprintf(f, "  \"sam_identical\": %s\n}\n", identical ? "true" : "false");

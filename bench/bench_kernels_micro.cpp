@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "bsw/bsw_batch.h"
+#include "bsw/bsw_engine.h"
 #include "index/sais.h"
 #include "util/rng.h"
 

@@ -11,13 +11,11 @@
 // The shape to reproduce: SMEM+SAL+BSW >= ~85% of total; BSW share higher
 // on the longer-read D1, SMEM share higher on shorter-read D4.
 //
-// The table is derived from the span tracer (util::Tracer::aggregate(),
-// exact per-name totals that survive ring wraparound) rather than the
-// StageTimes accumulator — the same instrumentation a production run
-// exports — and the run writes BENCH_pipeline_trace.json, loadable in
-// chrome://tracing or Perfetto.  The StageTimes total is printed as a
-// cross-check; the two views must agree to within timer overhead.
-#include <map>
+// The table is DriverStats::stages — the same StageSpan clock a production
+// run exports as mem2_stage_seconds — in the calling thread's wall seconds;
+// MISC is the time no stage span claims (read encoding, per-read
+// allocation, chunk setup).  The run is also traced and writes
+// BENCH_pipeline_trace.json, loadable in chrome://tracing or Perfetto.
 #include <string>
 
 #include "align/aligner.h"
@@ -25,23 +23,6 @@
 #include "util/trace.h"
 
 using namespace mem2;
-
-namespace {
-
-std::map<std::string, double> span_totals() {
-  std::map<std::string, double> m;
-  for (const auto& a : util::Tracer::instance().aggregate())
-    m[a.name] = a.seconds();
-  return m;
-}
-
-double span_secs(const std::map<std::string, double>& m,
-                 const std::string& key) {
-  const auto it = m.find(key);
-  return it == m.end() ? 0.0 : it->second;
-}
-
-}  // namespace
 
 int main() {
   const auto index = bench::bench_index();
@@ -67,49 +48,26 @@ int main() {
   tracer.set_ring_capacity(std::size_t{1} << 18);
   tracer.enable();
   bench::require_ok(aligner.align(d1.reads, sink_d1, &stats_d1));
-  const auto spans_d1 = span_totals();
   bench::require_ok(aligner.align(d4.reads, sink_d4, &stats_d4));
   tracer.disable();
-  auto spans_d4 = span_totals();  // both runs; subtract D1's share
-  for (auto& [name, seconds] : spans_d4) seconds -= span_secs(spans_d1, name);
 
-  // Span -> stage rows.  In the baseline driver the per-kernel "bsw"
-  // spans nest inside the per-read "bsw-pre" span, so the exclusive
-  // pre-processing time is the difference.
-  struct Row {
-    const char* label;
-    double d1, d4;
-    bool kernel;  // counts toward the three-kernel share
-  };
-  const double bsw1 = span_secs(spans_d1, "bsw"), bsw4 = span_secs(spans_d4, "bsw");
-  const Row rows[] = {
-      {"SMEM", span_secs(spans_d1, "smem"), span_secs(spans_d4, "smem"), true},
-      {"SAL", span_secs(spans_d1, "sal"), span_secs(spans_d4, "sal"), true},
-      {"CHAIN", span_secs(spans_d1, "chain"), span_secs(spans_d4, "chain"), false},
-      {"BSW-PRE", span_secs(spans_d1, "bsw-pre") - bsw1,
-       span_secs(spans_d4, "bsw-pre") - bsw4, false},
-      {"BSW", bsw1, bsw4, true},
-      {"SAM", span_secs(spans_d1, "sam-emit"), span_secs(spans_d4, "sam-emit"), false},
-  };
-  double t1 = 0, t4 = 0;
-  for (const Row& r : rows) {
-    t1 += r.d1;
-    t4 += r.d4;
-  }
+  const util::StageTimes& st1 = stats_d1.stages;
+  const util::StageTimes& st4 = stats_d4.stages;
+  const double t1 = st1.total(), t4 = st4.total();
   double kernels1 = 0, kernels4 = 0;
-  for (const Row& r : rows) {
-    const double p1 = 100.0 * r.d1 / t1;
-    const double p4 = 100.0 * r.d4 / t4;
-    bench::print_row(r.label, {bench::fmt(p1) + "%", bench::fmt(p4) + "%"});
-    if (r.kernel) {
+  for (int i = 0; i < static_cast<int>(util::Stage::kCount); ++i) {
+    const auto s = static_cast<util::Stage>(i);
+    if (s == util::Stage::kPair) continue;  // single-end run
+    const double p1 = 100.0 * st1[s] / t1;
+    const double p4 = 100.0 * st4[s] / t4;
+    bench::print_row(std::string(util::stage_name(s)).c_str(),
+                     {bench::fmt(p1) + "%", bench::fmt(p4) + "%"});
+    if (s == util::Stage::kSmem || s == util::Stage::kSal || s == util::Stage::kBsw) {
       kernels1 += p1;
       kernels4 += p4;
     }
   }
-  bench::print_row("total traced (s)", {bench::fmt(t1), bench::fmt(t4)});
-  bench::print_row("StageTimes cross-check (s)",
-                   {bench::fmt(stats_d1.stages.total()),
-                    bench::fmt(stats_d4.stages.total())});
+  bench::print_row("total (s)", {bench::fmt(t1), bench::fmt(t4)});
   bench::print_row("three-kernel share (paper: 86.5/85.7)",
                    {bench::fmt(kernels1) + "%", bench::fmt(kernels4) + "%"});
   std::printf("\nreads: D1=%zu x %d bp, D4=%zu x %d bp\n", d1.reads.size(),

@@ -9,7 +9,6 @@
 // fed to an Aligner session, so peak resident reads/records are bounded by
 // the session's queue — the input file never needs to fit in memory.
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -35,6 +34,7 @@
 #include "util/fault_injector.h"
 #include "util/metrics.h"
 #include "util/perf_counters.h"
+#include "util/timer.h"
 #include "util/trace.h"
 
 using namespace mem2;
@@ -167,10 +167,7 @@ bool parse_arg(const char* flag, const char* s, long long min, long long max,
 // ------------------------------------------------------------ observability
 
 std::string stage_label(util::Stage s) {
-  std::string v(util::stage_name(s));
-  for (char& ch : v)
-    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  return "stage=\"" + v + "\"";
+  return "stage=\"" + std::string(util::stage_name(s)) + "\"";
 }
 
 /// Registry id for the snapshot counter — the one CLI-owned metric that

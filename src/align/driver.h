@@ -29,13 +29,14 @@
 #include "align/options.h"
 #include "align/region.h"
 #include "align/status.h"
+#include "bsw/bsw_executor.h"
 #include "index/mem2_index.h"
 #include "io/sam.h"
 #include "pair/insert_stats.h"
 #include "seq/read_sim.h"
 #include "util/retry.h"
 #include "util/sw_counters.h"
-#include "util/timer.h"
+#include "util/trace.h"
 
 namespace mem2::align {
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "align/status.h"
-#include "bsw/bsw_batch.h"
 #include "bsw/ksw.h"
 #include "chain/chain.h"
 #include "smem/seeding.h"

@@ -30,11 +30,13 @@ void align_reads_baseline(const index::Mem2Index& index,
                           const DriverOptions& options,
                           std::vector<std::vector<io::SamRecord>>& per_read,
                           DriverStats* stats) {
+  // Binds stats->stages on this thread: its share of the reads feeds the
+  // per-read stage spans, and its wait for the other threads lands in MISC.
+  util::StageSpan call_span(util::Stage::kMisc, stats ? &stats->stages : nullptr);
   MEM2_REQUIRE(index.has_cp128(), "baseline driver needs the CP128 index");
   per_read.assign(reads.size(), {});
 
   const util::PrefetchPolicy no_prefetch{false};
-  std::vector<util::StageTimes> thread_stages(static_cast<std::size_t>(options.threads));
   std::vector<util::SwCounters> thread_counters(static_cast<std::size_t>(options.threads));
   std::vector<std::uint64_t> thread_ext(static_cast<std::size_t>(options.threads), 0);
   const std::uint32_t trace_pid = util::trace_stream_id();
@@ -43,7 +45,6 @@ void align_reads_baseline(const index::Mem2Index& index,
   {
     const int tid = omp_get_thread_num();
     util::TraceStreamScope trace_ctx(trace_pid);
-    util::StageTimes& st = thread_stages[static_cast<std::size_t>(tid)];
     util::CounterCapture capture;
     smem::SmemWorkspace ws;
     std::vector<smem::Smem> smems;
@@ -57,16 +58,14 @@ void align_reads_baseline(const index::Mem2Index& index,
 
       // SMEM.
       {
-        util::TraceSpan span("smem");
-        util::ScopedStage s(st, util::Stage::kSmem);
+        util::StageSpan span(util::Stage::kSmem);
         smem::collect_smems(index.fm128(), query, options.mem.seeding, smems, ws,
                             no_prefetch);
       }
       // SAL (concrete lambda: the LF-walk lookup inlines, no std::function).
       std::vector<chain::Seed> seeds;
       {
-        util::TraceSpan span("sal");
-        util::ScopedStage s(st, util::Stage::kSal);
+        util::StageSpan span(util::Stage::kSal);
         chain::seeds_from_smems(
             smems, options.mem.chaining,
             [&](idx_t row) { return index.sa_lookup_baseline(row); }, seeds);
@@ -75,8 +74,7 @@ void align_reads_baseline(const index::Mem2Index& index,
       std::vector<chain::Chain> chains;
       double frac_rep;
       {
-        util::TraceSpan span("chain");
-        util::ScopedStage s(st, util::Stage::kChain);
+        util::StageSpan span(util::Stage::kChain);
         frac_rep = chain::repetitive_fraction(
             smems, static_cast<int>(query.size()), options.mem.chaining.max_occ);
         chains = chain::build_chains(index.ref(), index.l_pac(), seeds,
@@ -87,42 +85,32 @@ void align_reads_baseline(const index::Mem2Index& index,
         chain::filter_chains(chains, options.mem.chaining);
         cnt.chains_kept += chains.size();
       }
-      // BSW (on-demand scalar; extension bookkeeping counted as BSW-PRE).
+      // BSW (on-demand scalar).  Each kernel call is a nested BSW span, so
+      // the surrounding BSW-PRE span keeps only the extension bookkeeping.
       std::vector<AlnReg> regs;
       {
         // Count the scalar kernel invocations for the extra-work metric.
         class CountingScalarSource final : public SeedExtendSource {
          public:
-          CountingScalarSource(const bsw::KswParams& p, util::StageTimes& st)
-              : params_(p), st_(st) {}
+          explicit CountingScalarSource(const bsw::KswParams& p) : params_(p) {}
           bsw::KswResult extend(int, int, int, int, const bsw::ExtendJob& job) override {
             ++calls;
-            util::TraceSpan span("bsw");
-            util::ScopedStage s(st_, util::Stage::kBsw);
+            util::StageSpan span(util::Stage::kBsw);
             return bsw::ksw_extend_scalar(job, params_);
           }
           std::uint64_t calls = 0;
 
          private:
           bsw::KswParams params_;
-          util::StageTimes& st_;
         };
-        const double bsw_before = st[util::Stage::kBsw];
-        {
-          util::TraceSpan span("bsw-pre");
-          util::ScopedStage pre(st, util::Stage::kBswPre);
-          CountingScalarSource source(options.mem.ksw, st);
-          process_chains(ctx, chains, source, regs);
-          thread_ext[static_cast<std::size_t>(tid)] += source.calls;
-        }
-        // The ksw time inside the scope was accounted to kBsw; remove this
-        // read's share from the surrounding pre-processing bucket.
-        st[util::Stage::kBswPre] -= st[util::Stage::kBsw] - bsw_before;
+        util::StageSpan span(util::Stage::kBswPre);
+        CountingScalarSource source(options.mem.ksw);
+        process_chains(ctx, chains, source, regs);
+        thread_ext[static_cast<std::size_t>(tid)] += source.calls;
       }
       // SAM.
       {
-        util::TraceSpan span("sam-emit");
-        util::ScopedStage s(st, util::Stage::kSamForm);
+        util::StageSpan span(util::Stage::kSamForm);
         sort_dedup_regions(regs, options.mem);
         mark_primary(regs, options.mem);
         per_read[static_cast<std::size_t>(r)] = regions_to_sam(ctx, read, regs);
@@ -132,7 +120,6 @@ void align_reads_baseline(const index::Mem2Index& index,
   }
 
   if (stats) {
-    for (const auto& st : thread_stages) stats->stages += st;
     for (const auto& c : thread_counters) stats->counters += c;
     for (const auto e : thread_ext) {
       stats->extensions_computed += e;

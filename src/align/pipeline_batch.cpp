@@ -184,7 +184,6 @@ struct BatchWorkspace::Impl {
   std::vector<smem::SmemExecutor> smem_executors;
   std::vector<JobBlock> blocks;
   bsw::BswExecutor executor;
-  std::vector<util::StageTimes> thread_stages;
   std::vector<util::SwCounters> thread_counters;
   // Paired mode: rescue attempts (spliced in pair order), their job refs,
   // and per-pair offsets into the spliced list.
@@ -220,7 +219,6 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
                    DriverStats* stats, CancelToken* cancel = nullptr) {
   const util::PrefetchPolicy prefetch{options.prefetch};
   const int n_threads = options.threads;
-  std::vector<util::StageTimes>& thread_stages = ws.thread_stages;
   std::vector<util::SwCounters>& thread_counters = ws.thread_counters;
   std::vector<ReadState>& states = ws.states;
   util::Arena& arena = ws.arena;
@@ -232,7 +230,6 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
   std::vector<JobBlock>& blocks = ws.blocks;
   bsw::BswExecutor& executor = ws.executor;
   const int bsw_threads = executor.threads();
-  util::StageTimes& st0 = thread_stages[0];  // serial-section accounting
   // Stream id for span attribution: OpenMP spawns fresh threads whose
   // thread-local trace context is empty, so each parallel region below
   // re-seeds it from the orchestrating thread's value.
@@ -253,8 +250,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
   // additionally reserves the reverse-complement and complement buffers the
   // rescue jobs view; they are filled lazily in the rescue harvest.
   {
-    util::TraceSpan encode_span("encode");
-    util::ScopedStage s(st0, util::Stage::kMisc);
+    util::TraceSpan encode_span("encode");  // part of the chunk's MISC
     for (int i = 0; i < nb; ++i) {
       ReadState& rs = states[static_cast<std::size_t>(i)];
       rs.clear();
@@ -296,112 +292,109 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
     const int tid = omp_get_thread_num();
     util::TraceStreamScope trace_ctx(trace_pid);
     util::CounterCapture capture;  // per-session delta, not a TLS reset
-    util::StageTimes& st = thread_stages[static_cast<std::size_t>(tid)];
-    util::TraceSpan smem_span("smem");
-    util::Timer timer;
+    // Each stage span closes after its worksharing loop's implicit barrier,
+    // so on the calling thread it measures the stage's wall time.
+    {
+      util::StageSpan smem_span(util::Stage::kSmem);
 #pragma omp for schedule(dynamic, 1)
-    for (int g = 0; g < n_groups; ++g) {
-      guard.run([&] {
-        const int beg = g * group;
-        const int end = std::min(nb, beg + group);
-        smem::QueryRef qrefs[kSmemGroup];
-        for (int i = beg; i < end; ++i) {
-          ReadState& rs = states[static_cast<std::size_t>(i)];
-          qrefs[i - beg] = smem::QueryRef{rs.query, &rs.smems};
-        }
-        smem_executors[static_cast<std::size_t>(tid)].collect(
-            index.fm32(), std::span(qrefs, static_cast<std::size_t>(end - beg)),
-            options.mem.seeding, prefetch);
-      });
+      for (int g = 0; g < n_groups; ++g) {
+        guard.run([&] {
+          const int beg = g * group;
+          const int end = std::min(nb, beg + group);
+          smem::QueryRef qrefs[kSmemGroup];
+          for (int i = beg; i < end; ++i) {
+            ReadState& rs = states[static_cast<std::size_t>(i)];
+            qrefs[i - beg] = smem::QueryRef{rs.query, &rs.smems};
+          }
+          smem_executors[static_cast<std::size_t>(tid)].collect(
+              index.fm32(), std::span(qrefs, static_cast<std::size_t>(end - beg)),
+              options.mem.seeding, prefetch);
+        });
+      }
     }
-    st[util::Stage::kSmem] += timer.seconds();
-    smem_span.finish();
 
     // --- SAL stage: batched gather, SA lines prefetched in waves ---
-    util::TraceSpan sal_span("sal");
-    timer.restart();
+    {
+      util::StageSpan sal_span(util::Stage::kSal);
 #pragma omp for schedule(dynamic, 8)
-    for (int i = 0; i < nb; ++i) {
-      guard.run([&] {
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        smem_executors[static_cast<std::size_t>(tid)].gather_seeds(
-            rs.smems, options.mem.chaining, index.flat_sa(), rs.seeds);
-      });
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          smem_executors[static_cast<std::size_t>(tid)].gather_seeds(
+              rs.smems, options.mem.chaining, index.flat_sa(), rs.seeds);
+        });
+      }
     }
-    st[util::Stage::kSal] += timer.seconds();
-    sal_span.finish();
 
     // --- CHAIN stage ---
-    util::TraceSpan chain_span("chain");
-    timer.restart();
+    {
+      util::StageSpan chain_span(util::Stage::kChain);
 #pragma omp for schedule(dynamic, 8)
-    for (int i = 0; i < nb; ++i) {
-      guard.run([&] {
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        rs.frac_rep = chain::repetitive_fraction(
-            rs.smems, static_cast<int>(rs.query.size()), options.mem.chaining.max_occ);
-        rs.chains = chain::build_chains(index.ref(), index.l_pac(), rs.seeds,
-                                        static_cast<int>(rs.query.size()),
-                                        options.mem.chaining, rs.frac_rep);
-        util::SwCounters& cnt = util::tls_counters();
-        cnt.chains_built += rs.chains.size();
-        chain::filter_chains(rs.chains, options.mem.chaining);
-        cnt.chains_kept += rs.chains.size();
-      });
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          rs.frac_rep = chain::repetitive_fraction(
+              rs.smems, static_cast<int>(rs.query.size()), options.mem.chaining.max_occ);
+          rs.chains = chain::build_chains(index.ref(), index.l_pac(), rs.seeds,
+                                          static_cast<int>(rs.query.size()),
+                                          options.mem.chaining, rs.frac_rep);
+          util::SwCounters& cnt = util::tls_counters();
+          cnt.chains_built += rs.chains.size();
+          chain::filter_chains(rs.chains, options.mem.chaining);
+          cnt.chains_kept += rs.chains.size();
+        });
+      }
     }
-    st[util::Stage::kChain] += timer.seconds();
-    chain_span.finish();
 
     // --- BSW pre-processing: chain windows + flat result table.  Window
     // bounds and table offsets first; then one serial pass carves each
     // read's windows from the batch arena (bump allocations, no locks);
     // then the fetches fill them. ---
-    util::TraceSpan pre_span("bsw-pre");
-    timer.restart();
+    {
+      util::StageSpan pre_span(util::Stage::kBswPre);
 #pragma omp for schedule(dynamic, 8)
-    for (int i = 0; i < nb; ++i) {
-      guard.run([&] {
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        if (rs.chains.empty()) return;  // query_rev never needed
-        // Deferred from encoding: the reversed query's first reader is job
-        // construction below, so only reads that reach extension pay for it.
-        for (std::size_t j = 0; j < rs.query.size(); ++j)
-          rs.query_rev[rs.query.size() - 1 - j] = rs.query[j];
-        ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-        const std::size_t n_chains = rs.chains.size();
-        rs.crefs.resize(n_chains);
-        rs.seed_off.resize(n_chains);
-        std::uint32_t n_seeds = 0;
-        for (std::size_t ci = 0; ci < n_chains; ++ci) {
-          rs.crefs[ci] = chain_window(ctx, rs.chains[ci]);
-          rs.window_codes += 2 * rs.crefs[ci].size();
-          rs.seed_off[ci] = n_seeds;
-          n_seeds += static_cast<std::uint32_t>(rs.chains[ci].seeds.size());
-        }
-        rs.table.assign(n_seeds, SeedJobResults{});
-      });
-    }
-#pragma omp single
-    guard.run([&] {
       for (int i = 0; i < nb; ++i) {
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        if (!rs.crefs.empty())
-          rs.windows = arena.allocate_array<seq::Code>(rs.window_codes);
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          if (rs.chains.empty()) return;  // query_rev never needed
+          // Deferred from encoding: the reversed query's first reader is job
+          // construction below, so only reads that reach extension pay for it.
+          for (std::size_t j = 0; j < rs.query.size(); ++j)
+            rs.query_rev[rs.query.size() - 1 - j] = rs.query[j];
+          ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
+          const std::size_t n_chains = rs.chains.size();
+          rs.crefs.resize(n_chains);
+          rs.seed_off.resize(n_chains);
+          std::uint32_t n_seeds = 0;
+          for (std::size_t ci = 0; ci < n_chains; ++ci) {
+            rs.crefs[ci] = chain_window(ctx, rs.chains[ci]);
+            rs.window_codes += 2 * rs.crefs[ci].size();
+            rs.seed_off[ci] = n_seeds;
+            n_seeds += static_cast<std::uint32_t>(rs.chains[ci].seeds.size());
+          }
+          rs.table.assign(n_seeds, SeedJobResults{});
+        });
       }
-    });
-#pragma omp for schedule(dynamic, 8)
-    for (int i = 0; i < nb; ++i) {
+#pragma omp single
       guard.run([&] {
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        seq::Code* buf = rs.windows;
-        for (ChainRef& cref : rs.crefs) {
-          fetch_chain_window(index, cref, buf);
-          buf += 2 * cref.size();
+        for (int i = 0; i < nb; ++i) {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          if (!rs.crefs.empty())
+            rs.windows = arena.allocate_array<seq::Code>(rs.window_codes);
         }
       });
+#pragma omp for schedule(dynamic, 8)
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          seq::Code* buf = rs.windows;
+          for (ChainRef& cref : rs.crefs) {
+            fetch_chain_window(index, cref, buf);
+            buf += 2 * cref.size();
+          }
+        });
+      }
     }
-    st[util::Stage::kBswPre] += timer.seconds();
-    pre_span.finish();
     thread_counters[static_cast<std::size_t>(tid)] += capture.take();
   }
   guard.rethrow();
@@ -413,8 +406,7 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
   // threads.  The pooled list and every result are bit-identical to the
   // serial path for any thread count. ---
   {
-    util::TraceSpan bsw_span("bsw");
-    util::Timer bsw_timer;
+    util::StageSpan bsw_span(util::Stage::kBsw);
     util::CounterCapture capture;  // banks the executor's reduced counters
     // Enumerate items [0, n_items) into per-block job lists built
     // concurrently, then splice in block order.  Blocks are contiguous
@@ -528,43 +520,47 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
     });
     run_round();
 
-    st0[util::Stage::kBsw] += bsw_timer.seconds();
     // The executor reduces worker-thread counters onto this (master)
     // thread's TLS sink; the capture banks exactly this session's share.
     thread_counters[0] += capture.take();
   }
 
-  // --- Replay the decision logic into per-read region lists, then
-  // (single-end) SAM ---
+  // --- Replay the decision logic into per-read region lists (BSW-PRE),
+  // then post-process the regions and (single-end) format SAM ---
 #pragma omp parallel num_threads(n_threads)
   {
     const int tid = omp_get_thread_num();
     util::TraceStreamScope trace_ctx(trace_pid);
-    util::TraceSpan sam_span("sam-emit");
     util::CounterCapture capture;
-    util::StageTimes& st = thread_stages[static_cast<std::size_t>(tid)];
+    {
+      util::StageSpan replay_span(util::Stage::kBswPre);
 #pragma omp for schedule(dynamic, 8)
-    for (int i = 0; i < nb; ++i) {
-      guard.run([&] {
-        if (util::fault_point("align.batch"))
-          throw invariant_error("injected fault: align.batch");
-        ReadState& rs = states[static_cast<std::size_t>(i)];
-        ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-        TableSource source(rs);
-        rs.regs.clear();
-        {
-          util::ScopedStage s(st, util::Stage::kBswPre);
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          if (util::fault_point("align.batch"))
+            throw invariant_error("injected fault: align.batch");
+          ReadState& rs = states[static_cast<std::size_t>(i)];
+          ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
+          TableSource source(rs);
+          rs.regs.clear();
           process_chains(ctx, rs.chains, source, rs.regs);
-        }
-        {
-          util::ScopedStage s(st, util::Stage::kSamForm);
+        });
+      }
+    }
+    {
+      util::StageSpan sam_span(util::Stage::kSamForm);
+#pragma omp for schedule(dynamic, 8)
+      for (int i = 0; i < nb; ++i) {
+        guard.run([&] {
+          ReadState& rs = states[static_cast<std::size_t>(i)];
           sort_dedup_regions(rs.regs, options.mem);
           mark_primary(rs.regs, options.mem);
-          if (emit_sam)
-            (*per_read)[batch_beg + static_cast<std::size_t>(i)] =
-                regions_to_sam(ctx, reads[batch_beg + static_cast<std::size_t>(i)], rs.regs);
-        }
-      });
+          if (!emit_sam) return;
+          ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
+          (*per_read)[batch_beg + static_cast<std::size_t>(i)] =
+              regions_to_sam(ctx, reads[batch_beg + static_cast<std::size_t>(i)], rs.regs);
+        });
+      }
     }
     thread_counters[static_cast<std::size_t>(tid)] += capture.take();
   }
@@ -591,10 +587,8 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   const int n_threads = options.threads;
   const int n_pairs = nb / 2;
   std::vector<ReadState>& states = ws.states;
-  util::StageTimes& st0 = ws.thread_stages[0];
   const std::uint32_t trace_pid = util::trace_stream_id();
-  util::TraceSpan pair_span("pair");
-  util::Timer pair_timer;
+  util::StageSpan pair_span(util::Stage::kPair);
   util::CounterCapture capture;  // banks the serial rescue rounds' counters
   util::OmpExceptionGuard guard;  // see batch_regions
 
@@ -885,7 +879,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   ws.thread_counters[0].pe_rescue_jobs += rescue_jobs;
   // The executor reduced its worker counters onto this thread's TLS sink.
   ws.thread_counters[0] += capture.take();
-  st0[util::Stage::kPair] += pair_timer.seconds();
   stage_checkpoint(cancel);
 
   // --- Finalize: splice rescue hits into the mates' region lists, pair,
@@ -896,8 +889,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
     util::TraceStreamScope trace_ctx(trace_pid);
     util::TraceSpan finalize_span("pair-finalize");
     util::CounterCapture finalize_capture;
-    util::StageTimes& st = ws.thread_stages[static_cast<std::size_t>(tid)];
-    util::Timer timer;
 #pragma omp for schedule(dynamic, 8)
     for (int p = 0; p < n_pairs; ++p) {
       guard.run([&] {
@@ -943,21 +934,19 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
                         decision, per_read[g1], per_read[g1 + 1]);
       });
     }
-    st[util::Stage::kPair] += timer.seconds();
     ws.thread_counters[static_cast<std::size_t>(tid)] += finalize_capture.take();
   }
   guard.rethrow();
 }
 
 /// Workspace configuration + batch slicing shared by align_chunk and
-/// collect_regions: sizes the per-thread accounting, SMEM executors and BSW
+/// collect_regions: sizes the per-thread counters, SMEM executors and BSW
 /// blocks/executor for this chunk's options, then invokes
 /// body(batch_beg, nb) per batch_size slice with ws.states grown to fit.
 template <class Body>
 void for_each_batch(std::span<const seq::Read> reads, const DriverOptions& options,
                     BatchWorkspace::Impl& ws, Body&& body) {
   const int n_threads = options.threads;
-  ws.thread_stages.assign(static_cast<std::size_t>(n_threads), {});
   ws.thread_counters.assign(static_cast<std::size_t>(n_threads), {});
   if (ws.smem_executors.size() < static_cast<std::size_t>(n_threads))
     ws.smem_executors.resize(static_cast<std::size_t>(n_threads));
@@ -990,6 +979,9 @@ void align_chunk(const index::Mem2Index& index, std::span<const seq::Read> reads
     align_reads_baseline(index, reads, options, per_read, stats);
     return;
   }
+  // Binds stats->stages for every stage span this thread opens below; MISC
+  // is the chunk time none of them claims.
+  util::StageSpan chunk_span(util::Stage::kMisc, stats ? &stats->stages : nullptr);
   MEM2_REQUIRE(index.has_cp32(), "batch driver needs the CP32 index");
   MEM2_REQUIRE(index.has_flat_sa(), "batch driver needs the flat SA");
   MEM2_REQUIRE(options.mem.max_band_try <= 2,
@@ -1011,10 +1003,8 @@ void align_chunk(const index::Mem2Index& index, std::span<const seq::Read> reads
                        per_read, stats, cancel);
   });
 
-  if (stats) {
-    for (const auto& t : ws.thread_stages) stats->stages += t;
+  if (stats)
     for (const auto& c : ws.thread_counters) stats->counters += c;
-  }
 }
 
 void collect_regions(const index::Mem2Index& index, std::span<const seq::Read> reads,

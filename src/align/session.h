@@ -37,7 +37,7 @@
 #include "align/status.h"
 #include "util/clock.h"
 #include "util/metrics.h"
-#include "util/timer.h"
+#include "util/trace.h"
 
 namespace mem2::align {
 

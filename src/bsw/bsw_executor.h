@@ -1,10 +1,14 @@
 // Parallel, allocation-free BSW execution (paper §5.3 + §3.2).
 //
-// BswExecutor owns the batched-BSW pipeline that extend_batch used to run
-// with per-call temporaries: precision split (§5.4.1), stable length sort
-// (§5.3.1), chunked dispatch into the inter-task engines, and scatter back
-// to the original job order.  Two things distinguish it from the old free
-// function:
+// BswExecutor owns the batched-BSW pipeline:
+//   1. split jobs into 8-bit-eligible and 16-bit sets (§5.4.1);
+//   2. within each set, radix-sort indices by (qlen, tlen) so that pairs
+//      sharing a SIMD register have similar lengths (§5.3.1 — the 1.5-1.7x
+//      "sorting" rows of Table 6); optional, so the bench can measure both;
+//   3. run the engine on width-aligned chunks of jobs;
+//   4. scatter results back to the original job order.
+//
+// Two properties matter to callers:
 //
 //   1. Persistent workspace.  Split index vectors, radix-sort key/scratch
 //      arrays and per-thread chunk buffers live in the executor, so after
@@ -17,7 +21,8 @@
 //      buffers.  Chunk boundaries depend only on the job list, never on the
 //      thread count, and every chunk scatters to disjoint output slots, so
 //      results are bit-identical to the serial path for any thread count
-//      (tests/test_bsw_executor.cpp proves it).
+//      (tests/test_bsw_executor.cpp proves it).  BswExecutor(1) is the
+//      serial path.
 //
 // Stats and software counters are accumulated per thread and reduced in
 // slot order; counters land on the calling thread's TLS sink exactly as the
@@ -26,10 +31,34 @@
 
 #include <vector>
 
-#include "bsw/bsw_batch.h"
+#include "bsw/bsw_engine.h"
 #include "util/sw_counters.h"
 
 namespace mem2::bsw {
+
+struct BswBatchOptions {
+  bool sort_by_length = true;
+  util::Isa isa = util::Isa::kAvx512;  // capped by the CPU at dispatch
+  /// Force one precision for benchmarking; default: auto-split.
+  bool force_16bit = false;
+};
+
+struct BswBatchStats {
+  BswBreakdown breakdown;       // engine-internal phase times (Table 8)
+  double sort_seconds = 0;
+  std::uint64_t jobs_8bit = 0;
+  std::uint64_t jobs_16bit = 0;
+  std::uint64_t chunks = 0;
+
+  BswBatchStats& operator+=(const BswBatchStats& o) {
+    breakdown += o.breakdown;
+    sort_seconds += o.sort_seconds;
+    jobs_8bit += o.jobs_8bit;
+    jobs_16bit += o.jobs_16bit;
+    chunks += o.chunks;
+    return *this;
+  }
+};
 
 class BswExecutor {
  public:

@@ -27,7 +27,7 @@ class FlatSA {
   /// Take ownership of a 32-bit SA buffer (the memory-lean build path).
   void build(util::BigVector<std::uint32_t> sa) { sa_ = std::move(sa); }
 
-  /// Widening-source compatibility path (tests, v1 loader): narrows each
+  /// Widening-source path (the 64-bit SA-IS build, tests): narrows each
   /// value, which is always lossless under the CP32 length cap.
   void build(const std::vector<idx_t>& sa) {
     sa_.resize(sa.size());

@@ -21,12 +21,11 @@
 // bit-flipped or truncated file surfaces as corruption_error naming the
 // offending section (Status kDataCorruption at the session layer / exit
 // code 4 in mem2_cli) instead of undefined behavior or an absurd
-// allocation.  The v1 format (no checksums) still loads with a one-release
-// deprecation warning; save_index can emit it for transition tooling.
+// allocation.  Any other format version (including the retired,
+// unchecksummed v1) is rejected as io_error; re-run `mem2_cli index`.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 
 #include "index/mem2_index.h"
 #include "util/big_alloc.h"
@@ -39,7 +38,6 @@ namespace {
 
 static_assert(sizeof(seq::Code) == 1, "BWT sections assume 1-byte codes");
 
-constexpr char kMagicV1[4] = {'M', '2', 'I', '\1'};
 constexpr char kMagicV2[4] = {'M', '2', 'I', '\2'};
 
 /// Chunk size for streaming payload reads/writes: big enough to amortize
@@ -54,14 +52,6 @@ void put(std::ostream& out, const T& v) {
 void put_string(std::ostream& out, const std::string& s) {
   put<std::uint64_t>(out, s.size());
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-template <typename T>
-void put_vector(std::ostream& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put<std::uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
 /// Feed each chunk of the u32 flat SA, widened to the on-disk i64 layout,
@@ -320,117 +310,6 @@ void write_flat_sa(std::ostream& out, const Mem2Index& index) {
   s.finish();
 }
 
-// --------------------------------------------------------------- v1 loader
-
-/// Reader for the deprecated unchecksummed format, tracking the bytes that
-/// actually remain in the file so a corrupt length field throws io_error
-/// before it can drive an absurd allocation.
-class V1Reader {
- public:
-  V1Reader(std::istream& in, std::uint64_t remaining)
-      : in_(in), remaining_(remaining) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v{};
-    read(&v, sizeof(T), "field");
-    return v;
-  }
-
-  std::uint64_t get_count(std::size_t elem_size, const char* what) {
-    const auto n = get<std::uint64_t>();
-    if (n > remaining_ / elem_size)
-      throw io_error(std::string("index file corrupt: ") + what +
-                     " length field exceeds the file size");
-    return n;
-  }
-
-  std::string get_string() {
-    const auto n = get_count(1, "string");
-    std::string s(static_cast<std::size_t>(n), '\0');
-    read(s.data(), s.size(), "string");
-    return s;
-  }
-
-  template <typename T>
-  std::vector<T> get_vector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = get_count(sizeof(T), "vector");
-    std::vector<T> v(static_cast<std::size_t>(n));
-    read(v.data(), v.size() * sizeof(T), "vector");
-    return v;
-  }
-
- private:
-  void read(void* dst, std::size_t n, const char* what) {
-    if (n > remaining_)
-      throw io_error(std::string("index file truncated (") + what + ")");
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (!in_) throw io_error(std::string("index file truncated (") + what + ")");
-    remaining_ -= n;
-  }
-
-  std::istream& in_;
-  std::uint64_t remaining_;
-};
-
-Mem2Index load_index_v1(std::istream& in, std::uint64_t bytes_left) {
-  Mem2Index index;
-  V1Reader r(in, bytes_left);
-
-  // Reference.  Each contig costs at least 24 bytes (name length + offset +
-  // length), which clamps the table size before the vector allocation.
-  const auto n_contigs = r.get_count(24, "contig table");
-  std::vector<seq::Contig> contigs(static_cast<std::size_t>(n_contigs));
-  for (auto& c : contigs) {
-    c.name = r.get_string();
-    c.offset = r.get<idx_t>();
-    c.length = r.get<idx_t>();
-  }
-  const auto pac_len = r.get<std::uint64_t>();
-  auto pac_raw = r.get_vector<std::uint8_t>();
-  const auto n_ambig = r.get_count(2 * sizeof(idx_t), "ambig table");
-  std::vector<seq::AmbigInterval> ambig(static_cast<std::size_t>(n_ambig));
-  for (auto& a : ambig) {
-    a.begin = r.get<idx_t>();
-    a.end = r.get<idx_t>();
-  }
-  // Rebuild the Reference from raw parts: decode the packed sequence per
-  // contig and re-add (N runs were already replaced at build time).
-  seq::PackedSequence pac;
-  pac.assign_raw(std::move(pac_raw), pac_len);
-  for (const auto& c : contigs) {
-    auto codes = pac.extract(static_cast<std::size_t>(c.offset),
-                             static_cast<std::size_t>(c.offset + c.length));
-    index.mutable_ref().add_contig_codes(c.name, codes);
-  }
-
-  // BWT + occ tables.
-  BwtData bwt;
-  bwt.seq_len = r.get<idx_t>();
-  bwt.primary = r.get<idx_t>();
-  bwt.bwt = r.get_vector<seq::Code>();
-  MEM2_REQUIRE(static_cast<idx_t>(bwt.bwt.size()) == bwt.seq_len,
-               "index file BWT length mismatch");
-  std::array<idx_t, 4> counts{};
-  for (seq::Code c : bwt.bwt) ++counts[c];
-  bwt.cum[0] = 1;
-  for (int c = 0; c < 4; ++c) bwt.cum[static_cast<std::size_t>(c) + 1] = bwt.cum[static_cast<std::size_t>(c)] + counts[static_cast<std::size_t>(c)];
-
-  index.mutable_fm128().build(bwt);
-  index.mutable_fm128().store_raw_bwt(bwt);
-  index.mutable_fm32().build(bwt);
-
-  // SAL.
-  const auto interval = r.get<std::int32_t>();
-  index.mutable_sampled_sa().set_samples(r.get_vector<idx_t>(), interval);
-  const auto has_flat = r.get<std::uint8_t>();
-  if (has_flat) index.mutable_flat_sa().build(r.get_vector<idx_t>());
-
-  return index;
-}
-
 // --------------------------------------------------------------- v2 loader
 
 Mem2Index load_index_v2(std::istream& in, std::uint64_t bytes_left) {
@@ -587,53 +466,19 @@ Mem2Index load_index_v2(std::istream& in, std::uint64_t bytes_left) {
 
 }  // namespace
 
-void save_index(const std::string& path, const Mem2Index& index, int version) {
-  MEM2_REQUIRE(version == 1 || version == 2, "unsupported index format version");
+void save_index(const std::string& path, const Mem2Index& index) {
   MEM2_REQUIRE(index.has_cp128(), "save_index requires the CP128 component");
   MEM2_REQUIRE(index.fm128().has_raw_bwt(), "save_index requires raw BWT");
   std::ofstream out(path, std::ios::binary);
   if (!out) throw io_error("cannot open index file for writing: " + path);
 
-  if (version == 1) {
-    // Transition writer for the deprecated unchecksummed format.
-    out.write(kMagicV1, 4);
-    const auto& ref = index.ref();
-    put<std::uint64_t>(out, ref.contigs().size());
-    for (const auto& c : ref.contigs()) {
-      put_string(out, c.name);
-      put<idx_t>(out, c.offset);
-      put<idx_t>(out, c.length);
-    }
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(ref.pac().size()));
-    put_vector(out, ref.pac().raw());
-    put<std::uint64_t>(out, ref.ambiguous().size());
-    for (const auto& a : ref.ambiguous()) {
-      put<idx_t>(out, a.begin);
-      put<idx_t>(out, a.end);
-    }
-    const auto& fm = index.fm128();
-    put<idx_t>(out, fm.seq_len());
-    put<idx_t>(out, fm.primary());
-    put_vector(out, fm.raw_bwt());
-    put<std::int32_t>(out, index.sampled_sa().interval());
-    put_vector(out, index.sampled_sa().samples());
-    put<std::uint8_t>(out, index.has_flat_sa() ? 1 : 0);
-    if (index.has_flat_sa()) {
-      const auto& v = index.flat_sa().values_u32();
-      put<std::uint64_t>(out, v.size());
-      for_each_widened_chunk(v, [&](const void* p, std::size_t n) {
-        out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-      });
-    }
-  } else {
-    out.write(kMagicV2, 4);
-    write_contigs(out, index);
-    write_pac(out, index);
-    write_ambig(out, index);
-    write_bwt(out, index);
-    write_sampled_sa(out, index);
-    write_flat_sa(out, index);
-  }
+  out.write(kMagicV2, 4);
+  write_contigs(out, index);
+  write_pac(out, index);
+  write_ambig(out, index);
+  write_bwt(out, index);
+  write_sampled_sa(out, index);
+  write_flat_sa(out, index);
 
   if (!out) throw io_error("error writing index file: " + path);
 }
@@ -651,13 +496,6 @@ Mem2Index load_index(const std::string& path) {
     throw io_error("not a mem2 index file: " + path);
   if (util::fault_point("index.load"))
     throw corruption_error("injected fault: index.load (" + path + ")");
-  if (magic[3] == kMagicV1[3]) {
-    std::cerr << "[mem2] warning: '" << path
-              << "' uses the deprecated v1 index format (no integrity "
-                 "checksums); re-run `mem2_cli index` — v1 support will be "
-                 "removed in the next release\n";
-    return load_index_v1(in, file_size - 4);
-  }
   if (magic[3] != kMagicV2[3])
     throw io_error("unsupported index format version in: " + path);
   return load_index_v2(in, file_size - 4);

@@ -94,9 +94,9 @@ class Mem2Index {
 /// Binary serialization (index/<name>.m2i).  Writes the v2 container:
 /// named sections, each with a xxhash64 checksum footer, verified on load
 /// so bit flips and truncation surface as corruption_error naming the
-/// damaged section.  version=1 writes the deprecated unchecksummed format
-/// (transition tooling only); load_index accepts both, warning on v1.
-void save_index(const std::string& path, const Mem2Index& index, int version = 2);
+/// damaged section.  load_index rejects every other format version
+/// (including the retired unchecksummed v1) as io_error.
+void save_index(const std::string& path, const Mem2Index& index);
 Mem2Index load_index(const std::string& path);
 
 }  // namespace mem2::index

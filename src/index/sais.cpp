@@ -419,7 +419,10 @@ void sais_rec(const Text& s, const I n, const I K, I* const sa, Ws<I>& ws,
   // Stage 4: scatter the sorted LMS suffixes to their bucket ends (the
   // rank-j LMS lands at slot >= j, so the descending walk never reads a
   // slot it already overwrote) and induce the final order.
-  if (ws_clobbered) count_chars(s, n, K, ws, nt);
+  if (ws_clobbered) {  // the child level re-sized cnt/bkt to its own alphabet
+    count_chars(s, n, K, ws, nt);
+    ws.bkt.resize(static_cast<std::size_t>(K));
+  }
 #pragma omp parallel for num_threads(nt) if (par)
   for (I i = m; i < n; ++i) sa[i] = kEmpty;
   bucket_ends(ws.cnt, ws.bkt, K);

@@ -13,6 +13,7 @@ namespace mem2::util {
 
 namespace trace_detail {
 std::atomic<bool> g_enabled{false};
+constinit thread_local StageBinding t_stage;
 }
 
 namespace {

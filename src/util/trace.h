@@ -1,31 +1,40 @@
-// Low-overhead span tracer: per-thread lock-free ring buffers of
-// TSC-stamped spans, exportable as Chrome trace-event JSON
-// (chrome://tracing / Perfetto) with pid = stream and tid = worker.
+// Low-overhead span tracer and the pipeline's one stage clock.
 //
-// Cost model: when tracing is disabled a TraceSpan is one relaxed atomic
-// load and a branch — cheap enough to leave compiled into every stage
-// boundary of the batch pipeline and even per-read baseline stages.
-// When enabled, record() is a TSC read plus one store into the calling
-// thread's private ring (no shared cache lines, no locks); the ring
-// wraps overwriting the oldest spans, so a run longer than the ring
-// keeps its most recent window and counts the rest in dropped().
+// Tracer: per-thread lock-free ring buffers of TSC-stamped spans,
+// exportable as Chrome trace-event JSON (chrome://tracing / Perfetto) with
+// pid = stream and tid = worker.  When tracing is disabled a TraceSpan is
+// one relaxed atomic load and a branch.  When enabled, record() is a TSC
+// read plus one store into the calling thread's private ring (no shared
+// cache lines, no locks); the ring wraps overwriting the oldest spans, so
+// a run longer than the ring keeps its most recent window and counts the
+// rest in dropped().  Alongside the ring, each thread keeps exact
+// per-span-name aggregates (total ticks + count) that survive wraparound;
+// the CLI exports them as mem2_span_seconds_total.
 //
-// Alongside the ring, each thread keeps exact per-span-name aggregates
-// (total ticks + count) that survive wraparound — bench_profile derives
-// its stage table from these, and the CLI exports them as
-// mem2_span_seconds_total so the trace and metrics views agree.
+// StageSpan: every pipeline stage boundary (Table 1: SMEM / SAL / CHAIN /
+// BSW-pre / BSW / SAM, plus PAIR and MISC) is one StageSpan, read with two
+// TSC stamps that feed both views.  With tracing on it records a ring event
+// named stage_name(stage).  On a thread that bound a StageTimes table —
+// each align_chunk / align_reads_baseline call binds its DriverStats on
+// its calling thread with a root MISC span — it also adds its *self* time
+// (duration minus the stage spans nested in it) to that table.  The table
+// therefore has one unit, the calling thread's wall seconds, and sums to
+// the call's wall time: MISC is exactly the time no other stage claims.
+// OpenMP worker threads bind no table, so their stage spans only trace.
 //
 // Export is snapshot-at-quiescence: call write_chrome_trace() after the
 // traced work has drained (end of run, after Stream::finish /
 // AlignService::shutdown), not concurrently with producers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/tsc.h"
@@ -173,5 +182,110 @@ inline void trace_interval(const char* name, std::uint64_t t0,
 inline void trace_instant(const char* name, std::uint32_t pid) {
   Tracer::instance().instant(name, pid);
 }
+
+// ------------------------------------------------------------ stage clock
+
+/// Pipeline stages, in paper order (Table 1).
+enum class Stage : int {
+  kSmem = 0,
+  kSal,
+  kChain,
+  kBswPre,
+  kBsw,
+  kSamForm,
+  kPair,  // paired-end stage: rescue harvest/rounds + pair scoring + pair SAM
+  kMisc,  // everything inside a driver call that no other stage span claims
+  kCount,
+};
+
+/// The one stage-name table: trace event names and the
+/// mem2_stage_seconds{stage=...} label values.
+constexpr std::string_view stage_name(Stage s) {
+  constexpr std::string_view names[] = {"smem", "sal", "chain", "bsw-pre",
+                                        "bsw",  "sam", "pair",  "misc"};
+  return names[static_cast<int>(s)];
+}
+
+/// Per-stage seconds of one driver call (or a sum of calls).
+struct StageTimes {
+  std::array<double, static_cast<int>(Stage::kCount)> seconds{};
+
+  double& operator[](Stage s) { return seconds[static_cast<int>(s)]; }
+  double operator[](Stage s) const { return seconds[static_cast<int>(s)]; }
+
+  double total() const {
+    double t = 0;
+    for (double s : seconds) t += s;
+    return t;
+  }
+
+  StageTimes& operator+=(const StageTimes& o) {
+    for (std::size_t i = 0; i < seconds.size(); ++i) seconds[i] += o.seconds[i];
+    return *this;
+  }
+};
+
+class StageSpan;
+
+namespace trace_detail {
+/// The calling thread's bound stage table and its innermost open span.
+struct StageBinding {
+  StageTimes* table = nullptr;
+  StageSpan* top = nullptr;
+};
+extern constinit thread_local StageBinding t_stage;
+}  // namespace trace_detail
+
+/// RAII stage span (see the header comment).  Unbound and untraced cost:
+/// a thread-local load, one relaxed load and a branch.
+class StageSpan {
+ public:
+  explicit StageSpan(Stage stage)
+      : stage_(stage),
+        table_(trace_detail::t_stage.table),
+        parent_(trace_detail::t_stage.top) {
+    start();
+  }
+  /// Root span of a driver call: binds `table` (null: none) as this
+  /// thread's stage table for the span's lifetime.
+  StageSpan(Stage stage, StageTimes* table)
+      : stage_(stage), table_(table), root_(true) {
+    trace_detail::t_stage = {table, nullptr};
+    start();
+  }
+  ~StageSpan() {
+    if (table_ != nullptr || traced_) {
+      const std::uint64_t t1 = tsc_now();
+      if (traced_)
+        Tracer::instance().record(stage_name(stage_).data(), t0_, t1,
+                                  trace_stream_id());
+      if (table_ != nullptr) {
+        const std::uint64_t ticks = t1 - t0_;
+        (*table_)[stage_] += tsc_to_seconds(ticks - child_ticks_);
+        if (parent_ != nullptr) parent_->child_ticks_ += ticks;
+        trace_detail::t_stage.top = parent_;
+      }
+    }
+    if (root_) trace_detail::t_stage = {};
+  }
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
+
+ private:
+  void start() {
+    traced_ = trace_enabled();
+    if (table_ == nullptr && !traced_) return;
+    if (table_ != nullptr) trace_detail::t_stage.top = this;
+    t0_ = tsc_now();
+  }
+
+  Stage stage_;
+  bool traced_ = false;
+  StageTimes* table_;
+  StageSpan* parent_ = nullptr;
+  bool root_ = false;
+  std::uint64_t t0_ = 0;
+  std::uint64_t child_ticks_ = 0;  // summed durations of nested stage spans
+};
 
 }  // namespace mem2::util

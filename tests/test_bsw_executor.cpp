@@ -1,4 +1,4 @@
-// BswExecutor contract: bit-identical to the serial extend_batch path for
+// BswExecutor contract: bit-identical to the serial BswExecutor(1) path for
 // any thread count, on synthetic pools and on jobs harvested from a real
 // pipeline run; persistent workspace stops growing after the first batch.
 #include <gtest/gtest.h>
@@ -48,13 +48,13 @@ struct JobPool {
   }
 };
 
-TEST(BswExecutor, MatchesExtendBatchAcrossThreadCounts) {
+TEST(BswExecutor, MatchesSerialExecutorAcrossThreadCounts) {
   JobPool pool(700, 2024);
   const KswParams p;
 
   std::vector<KswResult> expect;
   BswBatchStats serial_stats;
-  extend_batch(pool.jobs, expect, p, {}, &serial_stats);
+  BswExecutor(1).run(pool.jobs, expect, p, {}, &serial_stats);
 
   for (int threads : {1, 2, 3, 8}) {
     BswExecutor ex(threads);
@@ -74,13 +74,14 @@ TEST(BswExecutor, MatchesExtendBatchAcrossThreadCounts) {
 TEST(BswExecutor, MatchesAcrossSortForceAndIsaOptions) {
   JobPool pool(400, 77);
   const KswParams p;
+  BswExecutor serial(1);
   for (bool sort : {false, true}) {
     for (bool force16 : {false, true}) {
       BswBatchOptions opt;
       opt.sort_by_length = sort;
       opt.force_16bit = force16;
       std::vector<KswResult> expect;
-      extend_batch(pool.jobs, expect, p, opt, nullptr);
+      serial.run(pool.jobs, expect, p, opt, nullptr);
       BswExecutor ex(4);
       std::vector<KswResult> got;
       ex.run(pool.jobs, got, p, opt, nullptr);
@@ -89,7 +90,7 @@ TEST(BswExecutor, MatchesAcrossSortForceAndIsaOptions) {
   }
 }
 
-TEST(BswExecutor, MatchesExtendBatchOnHarvestedJobs) {
+TEST(BswExecutor, MatchesSerialExecutorOnHarvestedJobs) {
   // Jobs intercepted from a real pipeline run over a simulated genome — the
   // same shape of inputs the batch driver pools.
   seq::GenomeConfig g;
@@ -108,7 +109,7 @@ TEST(BswExecutor, MatchesExtendBatchOnHarvestedJobs) {
   ASSERT_GT(harvested.jobs.size(), 100u);
 
   std::vector<KswResult> expect;
-  extend_batch(harvested.jobs, expect, mopt.ksw, {}, nullptr);
+  BswExecutor(1).run(harvested.jobs, expect, mopt.ksw, {}, nullptr);
   for (int threads : {1, 2, 8}) {
     BswExecutor ex(threads);
     std::vector<KswResult> got;

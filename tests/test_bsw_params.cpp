@@ -4,7 +4,7 @@
 // case checks bit-identity against the scalar kernel on a mixed job pool.
 #include <gtest/gtest.h>
 
-#include "bsw/bsw_batch.h"
+#include "bsw/bsw_engine.h"
 #include "seq/dna.h"
 #include "util/rng.h"
 

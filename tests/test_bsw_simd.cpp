@@ -3,8 +3,8 @@
 // bit-identical to the scalar ksw_extend kernel.
 #include <gtest/gtest.h>
 
-#include "bsw/bsw_batch.h"
 #include "bsw/bsw_engine.h"
+#include "bsw/bsw_executor.h"
 #include "seq/dna.h"
 #include "util/rng.h"
 #include "util/sw_counters.h"
@@ -145,6 +145,7 @@ TEST(BswBatch, ResultsIndependentOfSortingAndIsa) {
   const KswParams p;
   const auto expect = scalar_reference(pool.jobs, p);
 
+  BswExecutor serial(1);
   for (bool sort : {false, true}) {
     for (util::Isa isa : {util::Isa::kScalar, util::Isa::kAvx2, util::Isa::kAvx512}) {
       BswBatchOptions opt;
@@ -152,7 +153,7 @@ TEST(BswBatch, ResultsIndependentOfSortingAndIsa) {
       opt.isa = isa;
       std::vector<KswResult> got;
       BswBatchStats stats;
-      extend_batch(pool.jobs, got, p, opt, &stats);
+      serial.run(pool.jobs, got, p, opt, &stats);
       ASSERT_EQ(got.size(), expect.size());
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], expect[i])
@@ -168,15 +169,16 @@ TEST(BswBatch, Force16BitMatchesAutoSplit) {
   BswBatchOptions a, b;
   b.force_16bit = true;
   std::vector<KswResult> ra, rb;
-  extend_batch(pool.jobs, ra, p, a, nullptr);
-  extend_batch(pool.jobs, rb, p, b, nullptr);
+  BswExecutor serial(1);
+  serial.run(pool.jobs, ra, p, a, nullptr);
+  serial.run(pool.jobs, rb, p, b, nullptr);
   EXPECT_EQ(ra, rb);
 }
 
 TEST(BswBatch, EmptyBatchIsFine) {
   std::vector<ExtendJob> none;
   std::vector<KswResult> out;
-  extend_batch(none, out, KswParams{});
+  BswExecutor(1).run(none, out, KswParams{});
   EXPECT_TRUE(out.empty());
 }
 
@@ -185,6 +187,7 @@ TEST(BswBatch, SortingReducesWastedCells) {
   // must reduce total computed cells (the wasted-lane effect).
   JobPool pool(2000, 99, 5, 200, 0.05);
   const KswParams p;
+  BswExecutor serial(1);
   auto cells_with = [&](bool sort) {
     auto& ctr = util::tls_counters();
     const auto before = ctr.bsw_cells_total;
@@ -192,7 +195,7 @@ TEST(BswBatch, SortingReducesWastedCells) {
     opt.sort_by_length = sort;
     opt.isa = util::detect_isa();
     std::vector<KswResult> out;
-    extend_batch(pool.jobs, out, p, opt, nullptr);
+    serial.run(pool.jobs, out, p, opt, nullptr);
     return ctr.bsw_cells_total - before;
   };
   const auto unsorted = cells_with(false);

@@ -1,8 +1,8 @@
 // Index integrity (index/index_io.cpp, v2 container): a bit flip in any
 // section — payload or checksum footer — and any truncation must surface
 // as corruption_error naming the offending section, before any corrupted
-// field is used.  The deprecated v1 format must keep loading for one more
-// release.
+// field is used.  The retired v1 format must be rejected as an
+// unsupported version.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -166,16 +166,23 @@ TEST(IndexCorruption, LoadedAfterRoundTripStillMatches) {
     ASSERT_EQ(loaded.sa_lookup_flat(r), fx().index.sa_lookup_flat(r));
 }
 
-TEST(IndexCorruption, V1FormatStillLoadsWithWarning) {
+TEST(IndexCorruption, V1HeaderIsRejectedAsUnsupportedVersion) {
+  // The unchecksummed v1 format is retired: a v1 magic must fail with the
+  // unsupported-version io_error, whatever follows it, never be parsed.
   const std::string path =
       (std::filesystem::temp_directory_path() / "mem2_v1.m2i").string();
-  save_index(path, fx().index, /*version=*/1);
-  const auto loaded = load_index(path);  // prints a deprecation warning
+  std::string v1 = fx().bytes;
+  v1[3] = '\1';
+  write_file(path, v1);
+  try {
+    load_index(path);
+    FAIL() << "v1 index accepted";
+  } catch (const io_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported index format version"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
-  EXPECT_EQ(loaded.seq_len(), fx().index.seq_len());
-  EXPECT_EQ(loaded.ref().length(), fx().index.ref().length());
-  for (idx_t r = 0; r <= fx().index.seq_len(); r += 61)
-    ASSERT_EQ(loaded.sa_lookup_flat(r), fx().index.sa_lookup_flat(r));
 }
 
 TEST(IndexCorruption, V2AbsurdLengthFieldRejectedBeforeAllocation) {
@@ -188,32 +195,6 @@ TEST(IndexCorruption, V2AbsurdLengthFieldRejectedBeforeAllocation) {
   const std::uint64_t huge = std::uint64_t{1} << 60;
   std::memcpy(mutated.data() + sections[0].payload_beg, &huge, 8);
   expect_corrupt(mutated, "contigs", "absurd contig count");
-}
-
-TEST(IndexCorruption, V1AbsurdLengthFieldsFailFastAsIoErrors) {
-  // Regression: the v1 loader used to size vectors/strings straight from
-  // the on-disk length field, so a flipped count meant an absurd
-  // allocation attempt before any bounds check.  Lengths are now clamped
-  // against the bytes actually remaining in the file.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mem2_v1_absurd.m2i").string();
-  save_index(path, fx().index, /*version=*/1);
-  const std::string bytes = read_file(path);
-  const std::uint64_t huge = std::uint64_t{1} << 60;
-
-  // Contig-table count (u64 right after the 4-byte magic).
-  std::string mutated = bytes;
-  std::memcpy(mutated.data() + 4, &huge, 8);
-  write_file(path, mutated);
-  EXPECT_THROW(load_index(path), io_error);
-
-  // First contig-name length (u64 right after the count).
-  mutated = bytes;
-  std::memcpy(mutated.data() + 12, &huge, 8);
-  write_file(path, mutated);
-  EXPECT_THROW(load_index(path), io_error);
-
-  std::remove(path.c_str());
 }
 
 TEST(IndexCorruption, Cp32RejectsTextsBeyondUint32) {

@@ -81,14 +81,20 @@ std::string solo_sam(const std::vector<seq::Read>& reads,
   return os.str();
 }
 
-/// Submit `reads` to `stream` in `chunk`-sized pieces and finish.
+/// Submit `reads` to `stream` in `chunk`-sized pieces and finish.  A
+/// failure may surface at a submit() or only at finish(), depending on
+/// when the worker reaches the failing batch; the stream is finished either
+/// way, so the service retires it before the caller reads its metrics.
 align::Status drive(ServiceStream& stream, const std::vector<seq::Read>& reads,
                     std::size_t chunk) {
   for (std::size_t i = 0; i < reads.size(); i += chunk) {
     const std::size_t end = std::min(reads.size(), i + chunk);
     std::vector<seq::Read> piece(reads.begin() + static_cast<std::ptrdiff_t>(i),
                                  reads.begin() + static_cast<std::ptrdiff_t>(end));
-    if (auto st = stream.submit(std::move(piece)); !st.ok()) return st;
+    if (auto st = stream.submit(std::move(piece)); !st.ok()) {
+      stream.finish();
+      return st;
+    }
   }
   return stream.finish();
 }

@@ -1,5 +1,5 @@
 // util module: arena allocator, radix sort, RNG determinism, ISA dispatch,
-// stage timers.
+// software counters.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,7 +12,6 @@
 #include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/sw_counters.h"
-#include "util/timer.h"
 
 namespace mem2::util {
 namespace {
@@ -144,18 +143,6 @@ TEST(CpuFeatures, CapBoundsDispatch) {
   EXPECT_EQ(dispatch_isa(), Isa::kScalar);
   set_isa_cap(Isa::kAvx512);
   EXPECT_EQ(dispatch_isa(), detected);
-}
-
-TEST(StageTimes, AccumulatesAndTotals) {
-  StageTimes t;
-  t[Stage::kSmem] = 1.0;
-  t[Stage::kBsw] = 2.5;
-  StageTimes u;
-  u[Stage::kSmem] = 0.5;
-  t += u;
-  EXPECT_DOUBLE_EQ(t[Stage::kSmem], 1.5);
-  EXPECT_DOUBLE_EQ(t.total(), 4.0);
-  EXPECT_EQ(stage_name(Stage::kSal), "SAL");
 }
 
 TEST(SwCounters, AggregationAndReset) {
