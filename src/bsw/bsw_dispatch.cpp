@@ -5,7 +5,7 @@ namespace mem2::bsw {
 bool fits_8bit(const ExtendJob& job, const KswParams& p) {
   // All intermediate values live in [0, h0 + qlen*a]; the bias trick adds
   // at most a+b before subtracting.  Lane-index tracking (mj) also needs
-  // qlen to fit a byte.
+  // qlen to fit a byte, and the engine's row state is int16.
   const int peak = job.h0 + job.qlen * p.a + p.a + std::max(p.b, 1);
   return peak <= 255 && job.qlen < 255 && job.tlen < 10000;
 }

@@ -12,74 +12,72 @@ template <typename T, int Width>
 struct ScalarVec {
   static constexpr int W = Width;
   using elem = T;
+  using Mask = ScalarVec;  // 0 / ~0 per lane
   T v[W];
 
-  static ScalarVec zero() { return set1(0); }
-  static ScalarVec set1(int x) {
+  template <class F>
+  static ScalarVec map(F f) {
     ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(x);
+    for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(f(i));
     return r;
   }
+  static ScalarVec zero() { return set1(0); }
+  static ScalarVec set1(int x) { return map([&](int) { return x; }); }
   static ScalarVec load(const T* p) {
     ScalarVec r;
     std::memcpy(r.v, p, sizeof(r.v));
     return r;
   }
   void store(T* p) const { std::memcpy(p, v, sizeof(v)); }
+  static void store_masked(T* p, Mask m, ScalarVec a) {
+    for (int i = 0; i < W; ++i)
+      if (m.v[i]) p[i] = a.v[i];
+  }
 
+  static ScalarVec add(ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return a.v[i] + b.v[i]; });
+  }
+  static ScalarVec sub(ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return a.v[i] - b.v[i]; });
+  }
   static ScalarVec adds(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) {
-      const unsigned s = static_cast<unsigned>(a.v[i]) + b.v[i];
-      r.v[i] = s > std::numeric_limits<T>::max() ? std::numeric_limits<T>::max()
-                                                 : static_cast<T>(s);
-    }
-    return r;
+    return map([&](int i) {
+      return std::min<unsigned>(a.v[i] + b.v[i], std::numeric_limits<T>::max());
+    });
   }
   static ScalarVec subs(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] > b.v[i] ? static_cast<T>(a.v[i] - b.v[i]) : T{0};
-    return r;
+    return map([&](int i) { return a.v[i] > b.v[i] ? a.v[i] - b.v[i] : 0; });
   }
   static ScalarVec vmax(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = std::max(a.v[i], b.v[i]);
-    return r;
+    return map([&](int i) { return std::max(a.v[i], b.v[i]); });
   }
-  static ScalarVec cmpeq(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] == b.v[i] ? static_cast<T>(~T{0}) : T{0};
-    return r;
+  static ScalarVec vmin(ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return std::min(a.v[i], b.v[i]); });
   }
-  static ScalarVec cmpgt_u(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] > b.v[i] ? static_cast<T>(~T{0}) : T{0};
-    return r;
+  static Mask cmpeq(ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return a.v[i] == b.v[i] ? ~T{0} : T{0}; });
   }
-  static ScalarVec vand(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] & b.v[i];
-    return r;
+  static Mask cmpgt(ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return a.v[i] > b.v[i] ? ~T{0} : T{0}; });
   }
-  static ScalarVec vor(ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] | b.v[i];
-    return r;
+  static ScalarVec blend(Mask m, ScalarVec a, ScalarVec b) {
+    return map([&](int i) { return m.v[i] ? a.v[i] : b.v[i]; });
   }
-  static ScalarVec vandnot(ScalarVec m, ScalarVec a) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(~m.v[i]) & a.v[i];
-    return r;
+  friend Mask operator&(Mask a, Mask b) { return map([&](int i) { return a.v[i] & b.v[i]; }); }
+  friend Mask operator|(Mask a, Mask b) { return map([&](int i) { return a.v[i] | b.v[i]; }); }
+  friend Mask operator~(Mask a) { return map([&](int i) { return ~a.v[i]; }); }
+  static bool any(Mask m) { return count(m) != 0; }
+  static int count(Mask m) {
+    int c = 0;
+    for (int i = 0; i < W; ++i) c += m.v[i] != 0;
+    return c;
   }
-  static ScalarVec blend(ScalarVec m, ScalarVec a, ScalarVec b) {
-    ScalarVec r;
-    for (int i = 0; i < W; ++i) r.v[i] = m.v[i] ? a.v[i] : b.v[i];
-    return r;
-  }
-  static bool any(ScalarVec m) {
-    for (int i = 0; i < W; ++i)
-      if (m.v[i]) return true;
-    return false;
+  static int hmin(ScalarVec a) { return *std::min_element(a.v, a.v + W); }
+  static int hmax(ScalarVec a) { return *std::max_element(a.v, a.v + W); }
+  static int hsum(ScalarVec a) {
+    int s = 0;
+    for (int i = 0; i < W; ++i) s += a.v[i];
+    return s;
   }
 };
 

@@ -9,6 +9,18 @@
 
 namespace mem2::bsw {
 
+namespace {
+
+// Prefetch the cache lines of a sequence, up to 256 bytes (extension jobs
+// are short).
+void prefetch_bytes(const seq::Code* p, int len) {
+  const int n = std::min(len, 256);
+  for (int off = 0; off < n; off += 64) __builtin_prefetch(p + off);
+  if (n > 0) __builtin_prefetch(p + n - 1);  // last line when p is unaligned
+}
+
+}  // namespace
+
 void BswExecutor::set_threads(int threads) {
   threads_ = std::max(1, threads);
   if (slots_.size() < static_cast<std::size_t>(threads_))
@@ -67,6 +79,18 @@ void BswExecutor::run_group(const ExtendJob* jobs, KswResult* out,
     for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n_chunks); ++c) {
       const std::size_t pos = static_cast<std::size_t>(c) * width;
       const int n = static_cast<int>(std::min(width, order.size() - pos));
+      // Length sorting scatters a chunk's jobs over the whole batch, so the
+      // gather and the engine's SoA transpose miss the cache on every job.
+      // Prefetch two chunks ahead for the job records and one chunk ahead
+      // for their sequences and result slots (records fetched last round).
+      for (std::size_t k = pos + 2 * width; k < std::min(pos + 3 * width, order.size()); ++k)
+        __builtin_prefetch(&jobs[order[k]]);
+      for (std::size_t k = pos + width; k < std::min(pos + 2 * width, order.size()); ++k) {
+        const ExtendJob& next = jobs[order[k]];
+        prefetch_bytes(next.query, next.qlen);
+        prefetch_bytes(next.target, next.tlen);
+        __builtin_prefetch(&out[order[k]], 1);
+      }
       for (int z = 0; z < n; ++z)
         slot.chunk[static_cast<std::size_t>(z)] = jobs[order[pos + static_cast<std::size_t>(z)]];
       engine.run(slot.chunk.data(), slot.chunk_out.data(), n, params,
@@ -105,10 +129,15 @@ void BswExecutor::run(const ExtendJob* jobs, std::size_t n_jobs, KswResult* out,
     stats->jobs_16bit += idx16_.size();
   }
 
-  run_group(jobs, out, idx8_, params, opt, get_engine(opt.isa, Precision::k8bit),
-            stats != nullptr);
-  run_group(jobs, out, idx16_, params, opt, get_engine(opt.isa, Precision::k16bit),
-            stats != nullptr);
+  const util::Isa isa = std::min(opt.isa, util::dispatch_isa());
+  const BswEngine e8 = get_engine(isa, Precision::k8bit);
+  const BswEngine e16 = get_engine(isa, Precision::k16bit);
+  run_group(jobs, out, idx8_, params, opt, e8, stats != nullptr);
+  run_group(jobs, out, idx16_, params, opt, e16, stats != nullptr);
+  if (stats) {
+    if (!idx8_.empty()) stats->engine_8bit = e8.name;
+    if (!idx16_.empty()) stats->engine_16bit = e16.name;
+  }
 
   // Slot-order reduction keeps the aggregate deterministic for a fixed
   // thread count; the integer counters are thread-count invariant.

@@ -38,7 +38,9 @@ namespace mem2::bsw {
 
 struct BswBatchOptions {
   bool sort_by_length = true;
-  util::Isa isa = util::Isa::kAvx512;  // capped by the CPU at dispatch
+  /// Widest ISA to use; capped by util::dispatch_isa() (the CPU and
+  /// MEM2_FORCE_ISA / util::set_isa_cap()).
+  util::Isa isa = util::Isa::kAvx512;
   /// Force one precision for benchmarking; default: auto-split.
   bool force_16bit = false;
 };
@@ -49,6 +51,8 @@ struct BswBatchStats {
   std::uint64_t jobs_8bit = 0;
   std::uint64_t jobs_16bit = 0;
   std::uint64_t chunks = 0;
+  const char* engine_8bit = "";   // engine that ran each group, "" if empty
+  const char* engine_16bit = "";
 
   BswBatchStats& operator+=(const BswBatchStats& o) {
     breakdown += o.breakdown;
@@ -56,6 +60,8 @@ struct BswBatchStats {
     jobs_8bit += o.jobs_8bit;
     jobs_16bit += o.jobs_16bit;
     chunks += o.chunks;
+    if (*o.engine_8bit) engine_8bit = o.engine_8bit;
+    if (*o.engine_16bit) engine_16bit = o.engine_16bit;
     return *this;
   }
 };

@@ -90,6 +90,39 @@ TEST(BswExecutor, MatchesAcrossSortForceAndIsaOptions) {
   }
 }
 
+TEST(BswExecutor, IsaCapReachesEngineDispatch) {
+  // MEM2_FORCE_ISA / util::set_isa_cap() must cap BSW like the occ
+  // kernels; explicit get_engine() calls still reach every engine the CPU
+  // has.  Queries up to 300 bp put jobs in both precision groups.
+  if (util::detect_isa() < util::Isa::kAvx2) GTEST_SKIP() << "CPU lacks AVX2";
+  JobPool pool(300, 31337, 5, 300);
+  const KswParams p;
+  std::vector<KswResult> expect;
+  for (const ExtendJob& j : pool.jobs) expect.push_back(ksw_extend_scalar(j, p));
+
+  struct CapGuard {
+    util::Isa prev = util::dispatch_isa();
+    ~CapGuard() { util::set_isa_cap(prev); }
+  } guard;
+  util::set_isa_cap(util::Isa::kAvx2);
+  BswBatchStats stats;
+  std::vector<KswResult> got;
+  BswExecutor(2).run(pool.jobs, got, p, {}, &stats);  // options ask for avx512
+  EXPECT_STREQ(stats.engine_8bit, "avx2-8bit");
+  EXPECT_STREQ(stats.engine_16bit, "avx2-16bit");
+  EXPECT_GT(stats.jobs_8bit, 0u);
+  EXPECT_GT(stats.jobs_16bit, 0u);
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(get_engine(util::detect_isa(), Precision::k8bit).width,
+            util::detect_isa() == util::Isa::kAvx512 ? 64 : 32);
+
+  util::set_isa_cap(util::Isa::kScalar);
+  BswBatchStats scalar_stats;
+  BswExecutor(1).run(pool.jobs, got, p, {}, &scalar_stats);
+  EXPECT_STREQ(scalar_stats.engine_8bit, "scalar-8bit");
+  EXPECT_EQ(got, expect);
+}
+
 TEST(BswExecutor, MatchesSerialExecutorOnHarvestedJobs) {
   // Jobs intercepted from a real pipeline run over a simulated genome — the
   // same shape of inputs the batch driver pools.
