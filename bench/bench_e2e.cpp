@@ -1,16 +1,19 @@
 // Figure 5 reproduction: end-to-end compute time of the baseline
 // (original BWA-MEM model) vs the optimized (batch) driver on all five
 // dataset analogs, single thread and all hardware threads, with the
-// per-kernel stacked breakdown (SMEM / SAL / BSW / Misc) and speedups.
+// optimized driver's full stage table (SMEM, SAL, CHAIN, BSW-PRE, BSW, SAM,
+// PAIR, MISC: DriverStats::stages, whose MISC is only the time no stage
+// claims) and speedups.
 // Also reports the §6.3.2 extra-seed statistics (paper: ~14% extra pairs).
 //
 // Paper reference (SKX): single-thread speedups 2.6x-3.5x; single-socket
 // 1.7x-2.4x.  Shape to reproduce: optimized wins on every dataset; SAL
-// nearly vanishes from the optimized bars; Misc grows in relative share.
+// nearly vanishes from the optimized bars; the between-kernel stages grow
+// in relative share.
 //
 // --paired runs the paired-end suite instead: end-to-end throughput of the
 // paired batch driver (insert-size calibration + pair scoring + BSW mate
-// rescue) with the per-stage breakdown and the mate-rescue counter line,
+// rescue) with the same stage table and the mate-rescue counter line,
 // written to BENCH_pe.json.  --smoke caps the workload for CI.
 //
 // --trace-overhead gates the observability contract: tracing compiled in
@@ -19,6 +22,7 @@
 // StageSpan stage clock separately), and enabling tracing must leave the
 // SAM byte-identical.  Writes BENCH_trace_overhead.json.
 #include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -31,11 +35,30 @@ using namespace mem2;
 
 namespace {
 
+constexpr int kCellW = 10;  // column width of the stage-table suites
+
+/// `cells`, then one header per util::Stage (its name, upper-cased).
+std::vector<std::string> stage_header(std::vector<std::string> cells) {
+  for (int s = 0; s < static_cast<int>(util::Stage::kCount); ++s) {
+    std::string name(util::stage_name(static_cast<util::Stage>(s)));
+    for (char& ch : name) ch = static_cast<char>(std::toupper(ch));
+    cells.push_back(std::move(name));
+  }
+  return cells;
+}
+
+/// `cells`, then one seconds cell per stage of `st`.
+std::vector<std::string> stage_row(std::vector<std::string> cells,
+                                   const util::StageTimes& st) {
+  for (double sec : st.seconds) cells.push_back(bench::fmt(sec, 3));
+  return cells;
+}
+
 void run_suite(const index::Mem2Index& index, int threads) {
   bench::print_header("Figure 5: end-to-end compute, " + std::to_string(threads) +
                       " thread(s)");
-  bench::print_row("Dataset",
-                   {"orig (s)", "opt (s)", "speedup", "SMEM", "SAL", "BSW", "Misc"});
+  bench::print_row("Dataset", stage_header({"orig (s)", "opt (s)", "speedup"}), 34,
+                   kCellW);
 
   for (int d = 0; d < 5; ++d) {
     const auto ds = bench::bench_dataset(index, d);
@@ -67,15 +90,12 @@ void run_suite(const index::Mem2Index& index, int threads) {
     for (std::size_t i = 0; identical && i < sam_base.size(); ++i)
       identical = sam_base[i].to_line() == sam_opt[i].to_line();
 
-    const auto& st = s_opt.stages;
-    const double misc = st[util::Stage::kChain] + st[util::Stage::kBswPre] +
-                        st[util::Stage::kSamForm] + st[util::Stage::kMisc];
     bench::print_row(
         (ds.name + std::string(identical ? "" : " [OUTPUT MISMATCH!]")).c_str(),
-        {bench::fmt(wall_base, 2), bench::fmt(wall_opt, 2),
-         bench::fmt(wall_base / wall_opt, 2) + "x", bench::fmt(st[util::Stage::kSmem], 2),
-         bench::fmt(st[util::Stage::kSal], 3), bench::fmt(st[util::Stage::kBsw], 2),
-         bench::fmt(misc, 2)});
+        stage_row({bench::fmt(wall_base, 2), bench::fmt(wall_opt, 2),
+                   bench::fmt(wall_base / wall_opt, 2) + "x"},
+                  s_opt.stages),
+        34, kCellW);
 
     if (d == 1 && threads == 1) {
       std::printf("\n  [sec 6.3.2] D2 extra extensions from extend-all-then-filter: "
@@ -142,7 +162,7 @@ int run_paired_suite(bool smoke) {
   const auto reads = seq::simulate_pairs(index.ref(), cfg);
 
   bench::print_header("Paired-end: batch driver + pair scoring + mate rescue");
-  bench::print_row("Threads", {"time (s)", "pairs/s", "SMEM", "BSW", "PAIR", "Misc"});
+  bench::print_row("Threads", stage_header({"time (s)", "pairs/s"}), 34, kCellW);
 
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<PairedRun> runs;
@@ -152,14 +172,10 @@ int run_paired_suite(bool smoke) {
   const bool identical = samN.empty() || sam1 == samN;
 
   for (const auto& r : runs) {
-    const auto& st = r.stages;
-    const double misc = st[util::Stage::kChain] + st[util::Stage::kBswPre] +
-                        st[util::Stage::kSamForm] + st[util::Stage::kMisc];
     bench::print_row(
         (std::to_string(r.threads) + (identical ? "" : " [OUTPUT MISMATCH!]")).c_str(),
-        {bench::fmt(r.seconds, 2), bench::fmt(r.pairs_per_sec, 0),
-         bench::fmt(st[util::Stage::kSmem], 2), bench::fmt(st[util::Stage::kBsw], 2),
-         bench::fmt(st[util::Stage::kPair], 2), bench::fmt(misc, 2)});
+        stage_row({bench::fmt(r.seconds, 2), bench::fmt(r.pairs_per_sec, 0)}, r.stages),
+        34, kCellW);
   }
 
   const auto& c = runs[0].counters;
@@ -199,9 +215,13 @@ int run_paired_suite(bool smoke) {
       const auto& r = runs[i];
       std::fprintf(f,
                    "    {\"threads\": %d, \"seconds\": %.6f, \"pairs_per_sec\": "
-                   "%.1f, \"pair_stage_seconds\": %.6f}%s\n",
-                   r.threads, r.seconds, r.pairs_per_sec,
-                   r.stages[util::Stage::kPair], i + 1 < runs.size() ? "," : "");
+                   "%.1f, \"pair_stage_seconds\": %.6f, \"stage_seconds\": {",
+                   r.threads, r.seconds, r.pairs_per_sec, r.stages[util::Stage::kPair]);
+      for (int s = 0; s < static_cast<int>(util::Stage::kCount); ++s)
+        std::fprintf(f, "%s\"%s\": %.6f", s ? ", " : "",
+                     util::stage_name(static_cast<util::Stage>(s)).data(),
+                     r.stages.seconds[static_cast<std::size_t>(s)]);
+      std::fprintf(f, "}}%s\n", i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -51,7 +51,6 @@ int usage() {
       "  mem2_cli mem [options] <index.m2i> <reads.fq> [mates.fq]\n"
       "      -t N              pipeline worker threads (default 1)\n"
       "      -b N              reads per batch (default 512)\n"
-      "      --bsw-threads N   BSW-round threads (default: follow -t)\n"
       "      --baseline        original read-at-a-time driver\n"
       "      -p                paired interleaved input (single FASTQ)\n"
       "                        (two FASTQ files imply paired mode)\n"
@@ -370,9 +369,6 @@ int cmd_mem(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "-b") && i + 1 < argc) {
       if (!parse_arg("-b", argv[++i], 1, INT_MAX, v)) return usage();
       opt.batch_size = static_cast<int>(v);
-    } else if (!std::strcmp(argv[i], "--bsw-threads") && i + 1 < argc) {
-      if (!parse_arg("--bsw-threads", argv[++i], 0, INT_MAX, v)) return usage();
-      opt.bsw_threads = static_cast<int>(v);
     } else if (!std::strcmp(argv[i], "--baseline")) {
       opt.mode = align::Mode::kBaseline;
     } else if (!std::strcmp(argv[i], "-p")) {

@@ -49,7 +49,6 @@ struct DriverOptions {
   Mode mode = Mode::kBatch;
   int threads = 1;
   int batch_size = 512;  // reads per batch (batch mode)
-  bool prefetch = true;  // software prefetch in SMEM (batch mode)
   /// In-flight FM-index walks per thread in the seeding stage (batch mode):
   /// the SmemExecutor runs this many reads' SMEM state machines in lockstep
   /// so one walk's Occ-line misses overlap useful work on the others
@@ -57,9 +56,6 @@ struct DriverOptions {
   /// invariant across values (tests/test_smem_executor.cpp).
   int smem_inflight = 8;
   bsw::BswBatchOptions bsw;  // sorting / ISA for the SIMD engine
-  /// OpenMP threads for the pooled BSW rounds (enumeration + chunk
-  /// dispatch); 0 follows `threads`.  Output is invariant across values.
-  int bsw_threads = 0;
   /// Streaming session (aligner.h): worker threads running whole batches
   /// concurrently; 0 follows `threads`.  Output is invariant across values.
   int pipeline_workers = 0;
@@ -76,10 +72,9 @@ struct DriverOptions {
   /// deterministic across thread counts, chunkings and batch sizes.
   bool paired = false;
   /// Paired-end subsystem knobs (pair/insert_stats.h), including the
-  /// rescue-scan tuning surface: pe.rescue_seed_len (probe k),
-  /// pe.rescue_hash_bits (rolling-hash table size) and pe.rescue_skip
-  /// (determinism-preserving window skipping; disable for an A/B against
-  /// the scan-everything behavior — output with skipping off is
+  /// rescue-scan tuning surface: pe.rescue_seed_len (probe k) and
+  /// pe.rescue_skip (determinism-preserving window skipping; disable for an
+  /// A/B against the scan-everything behavior — output with skipping off is
   /// byte-identical to the pre-skip driver).
   pair::PairOptions pe;
   /// Transient-failure policy for sink writes (util/retry.h): with
@@ -89,9 +84,6 @@ struct DriverOptions {
   /// kIoError.  Default is 1 = no retry, today's fail-stop behavior.
   util::RetryPolicy sink_retry;
 
-  int effective_bsw_threads() const {
-    return bsw_threads > 0 ? bsw_threads : threads;
-  }
   int effective_workers() const {
     return pipeline_workers > 0 ? pipeline_workers : std::max(1, threads);
   }

@@ -195,20 +195,14 @@ void process_chains(const ExtendContext& ctx,
       a.score = a.truesc = -1;
       a.rid = c.rid;
 
-      // Degenerate flank (clamped reference window leaves no target bases):
-      // ksw on an empty target trivially returns (h0, 0, 0, 0, -1, 0).
       const auto run_side = [&](int side, int bt, const bsw::ExtendJob& job) {
-        if (job.tlen == 0) {
-          bsw::KswResult r;
-          r.score = job.h0;
-          return r;
-        }
+        if (const auto r = empty_flank_result(job)) return *r;
         return source.extend(chain_idx, seed_idx, side, bt, job);
       };
 
       if (s.qbeg) {  // left extension
         bsw::KswResult r;
-        for (int bt = 0; bt < opt.max_band_try; ++bt) {
+        for (int bt = 0; bt < kMaxBandTry; ++bt) {
           const int prev = a.score;
           aw0 = opt.w << bt;
           const auto job = make_left_job(ctx, *cref, s, aw0);
@@ -235,7 +229,7 @@ void process_chains(const ExtendContext& ctx,
         const int sc0 = a.score;
         const idx_t re_off = s.rbeg + s.len - cref->rmax0;
         bsw::KswResult r;
-        for (int bt = 0; bt < opt.max_band_try; ++bt) {
+        for (int bt = 0; bt < kMaxBandTry; ++bt) {
           const int prev = a.score;
           aw1 = opt.w << bt;
           const auto job = make_right_job(ctx, *cref, s, aw1, sc0);

@@ -13,6 +13,7 @@
 // what makes the identical-output property true by construction.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "align/region.h"
@@ -58,6 +59,22 @@ bsw::ExtendJob make_left_job(const ExtendContext& ctx, const ChainRef& cref,
 bsw::ExtendJob make_right_job(const ExtendContext& ctx, const ChainRef& cref,
                               const chain::Seed& s, int band, int h0);
 
+/// Band tries per flank: the first at opt.w, each retry at double the band
+/// (bwa's MAX_BAND_TRY, a compile-time constant there too).
+inline constexpr int kMaxBandTry = 2;
+
+/// The empty-flank rule, shared by every caller that runs extension jobs: a
+/// job whose target flank is empty (a clamped reference window leaves no
+/// bases) never reaches an engine, because ksw on zero target bases keeps
+/// the initial score, (h0, 0, 0, 0, -1, 0).  Returns that result for such a
+/// job and nothing for a job that has to run.
+inline std::optional<bsw::KswResult> empty_flank_result(const bsw::ExtendJob& job) {
+  if (job.tlen != 0) return std::nullopt;
+  bsw::KswResult r;
+  r.score = job.h0;
+  return r;
+}
+
 /// bwa's band-doubling retry test: after a try at band aw returned (score,
 /// max_off), retry with a doubled band iff the score changed and the best
 /// cell wandered at least 3/4 of the band away from the diagonal.
@@ -65,9 +82,9 @@ inline bool band_retry_needed(int score, int prev_score, int max_off, int aw) {
   return !(score == prev_score || max_off < (aw >> 1) + (aw >> 2));
 }
 
-/// BSW computation provider.  side: 0 = left, 1 = right.  band_try: 0 or 1
-/// (bwa MAX_BAND_TRY = 2).  The job passed is fully specified so table
-/// implementations can sanity-check key collisions.
+/// BSW computation provider.  side: 0 = left, 1 = right.  band_try: in
+/// [0, kMaxBandTry).  The job passed is fully specified and never has an
+/// empty target flank (process_chains resolves those itself).
 class SeedExtendSource {
  public:
   virtual ~SeedExtendSource() = default;

@@ -31,8 +31,6 @@ Status validate_options(const MemOptions& opt) {
                opt.ksw.o_del >= 0 && opt.ksw.o_ins >= 0,
                "gap open penalties must be non-negative",
                opt.w > 0, "band width must be positive",
-               opt.max_band_try >= 1 && opt.max_band_try <= 2,
-               "band tries limited to bwa's MAX_BAND_TRY (2)",
                opt.seeding.min_seed_len > 0, "min seed length must be positive");
 }
 
@@ -46,8 +44,6 @@ Status validate_driver_options(const DriverOptions& options) {
           options.smem_inflight >= 1 &&
               options.smem_inflight <= smem::SmemExecutor::kMaxInflight,
           "smem_inflight must be in [1, 64]",
-          options.bsw_threads >= 0,
-          "bsw_threads must be >= 0 (0 follows threads)",
           options.pipeline_workers >= 0,
           "pipeline_workers must be >= 0 (0 follows threads)",
           options.queue_depth >= 1, "queue depth must be >= 1",
@@ -73,10 +69,7 @@ Status validate_driver_options(const DriverOptions& options) {
                "pe.rescue_seed_len must be >= 4",
                options.pe.max_rescue_anchors >= 1 &&
                    options.pe.max_rescue_anchors <= pair::kMaxRescueAnchors,
-               "pe.max_rescue_anchors must be in [1, 8]",
-               options.pe.rescue_hash_bits >= 1 &&
-                   options.pe.rescue_hash_bits <= pair::kMaxRescueHashBits,
-               "pe.rescue_hash_bits must be in [1, 10]");
+               "pe.max_rescue_anchors must be in [1, 8]");
 }
 
 }  // namespace mem2::align

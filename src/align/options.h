@@ -16,7 +16,6 @@ struct MemOptions {
   smem::SeedingOptions seeding;    // min_seed_len=19, reseeding, round 3
   chain::ChainOptions chaining;    // w=100, max_occ=500, mask_level=.5 ...
   int w = 100;                     // extension band width (bwa -w)
-  int max_band_try = 2;            // band-doubling retries (bwa MAX_BAND_TRY)
   int min_out_score = 30;          // bwa -T
   float mask_level_redun = 0.95f;  // dedup overlap threshold
   int mapq_coef_len = 50;

@@ -2,25 +2,26 @@
 //
 // Reads are processed in batches; each stage runs across the whole batch
 // before the next stage starts.  SMEM uses the CP32 index with software
-// prefetching; SAL is a flat-array load; BSW jobs from *all* reads of the
-// batch are pooled (enumerated in parallel, spliced in read order) and
-// executed by the OpenMP-parallel BswExecutor in four rounds (left try-1,
-// left try-2, right try-1, right try-2 — the band-doubling retries of
-// mem_chain2aln).  Because which seeds deserve
-// extension only becomes known when earlier seeds' regions exist, the batch
-// driver extends every seed and lets process_chains() replay the original
-// decision logic against the precomputed results — the paper's
-// "extend all the seeds of a read, then post process" strategy (§5.3.2),
-// which buys SIMD parallelism for ~14% extra extensions.
+// prefetching; SAL is a flat-array load.  Every BSW dispatch is a pooled
+// round (pooled_round below): jobs from *all* reads of the batch are
+// enumerated in parallel blocks, spliced in item order, executed once by
+// the OpenMP-parallel BswExecutor and scattered back, so the pool and every
+// result are invariant across thread counts.  Seed extension runs one round
+// per (side, band try) — left then right, each try after the first
+// enumerating the previous try's jobs (the band-doubling retries of
+// mem_chain2aln).  Because which seeds deserve extension only becomes known
+// when earlier seeds' regions exist, the batch driver extends every seed
+// and lets process_chains() replay the original decision logic against the
+// precomputed results — the paper's "extend all the seeds of a read, then
+// post process" strategy (§5.3.2), which buys SIMD parallelism for ~14%
+// extra extensions.
 //
 // Paired mode adds a PAIR stage after the single-end regions exist: mate
 // rescue harvests banded-SW jobs against the windows implied by each
-// mapped mate (pair/mate_rescue.h) and dispatches them through the same
-// BswExecutor in two more pooled rounds (left anchors, then right anchors
-// seeded with the left scores) — enumerated in parallel blocks and spliced
-// in pair order, so the pool and every result are invariant across thread
-// counts, exactly like the four extension rounds.  Pair scoring and the
-// paired SAM emission (pair/pairing.h) then run read-parallel per pair.
+// mapped mate (pair/mate_rescue.h) and runs them as two more pooled rounds
+// over the rescue attempts (left anchors, then right anchors seeded with
+// the left scores).  Pair scoring and the paired SAM emission
+// (pair/pairing.h) then run read-parallel per pair.
 //
 // Cross-batch buffers live in containers owned by BatchWorkspace whose
 // capacity persists, plus an Arena for the per-read code buffers and the
@@ -35,6 +36,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "align/cancel.h"
 #include "align/driver.h"
@@ -53,8 +55,8 @@ namespace mem2::align {
 namespace {
 
 struct SeedJobResults {
-  bsw::KswResult res[2][2];  // [side][band_try]
-  bool have[2][2] = {{false, false}, {false, false}};
+  bsw::KswResult res[2][kMaxBandTry];  // [side][band_try]
+  bool have[2][kMaxBandTry] = {};
 };
 
 struct ReadState {
@@ -95,7 +97,8 @@ struct ReadState {
   }
 };
 
-struct JobRef {
+/// (read, chain, seed, side, band try) a seed-extension job scatters to.
+struct SeedRef {
   std::uint32_t read;
   std::uint32_t chain;
   std::uint32_t seed;
@@ -103,11 +106,25 @@ struct JobRef {
   std::uint8_t bt;
 };
 
-/// Per-block output of parallel job enumeration; capacity persists across
-/// rounds and batches (§3.2).
-struct JobBlock {
+/// (attempt, anchor) a rescue job scatters to.
+struct RescueRef {
+  std::uint32_t attempt;
+  std::uint32_t anchor;
+};
+
+/// The buffers of one kind of pooled round (Ref names where a result goes):
+/// per-block enumeration lists, the spliced pool, and the previous round's
+/// refs a retry round enumerates.  Capacity persists across rounds and
+/// batches (§3.2).
+template <class Ref>
+struct JobPool {
+  struct Block {
+    std::vector<bsw::ExtendJob> jobs;
+    std::vector<Ref> refs;
+  };
+  std::vector<Block> blocks;
   std::vector<bsw::ExtendJob> jobs;
-  std::vector<JobRef> refs;
+  std::vector<Ref> refs, prev_refs;
 };
 
 /// Per-block output of the parallel rescue harvest (paired mode).
@@ -127,12 +144,6 @@ struct SeenWindow {
   bool is_rev = false;
   std::int32_t attempt = -1;  // index into PairBlock::attempts, or -1
   std::int32_t zero = -1;     // index into the anchor-less content list
-};
-
-/// (attempt, anchor) a rescue-round job scatters back to.
-struct RescueRef {
-  std::uint32_t attempt;
-  std::uint32_t anchor;
 };
 
 /// Replays extensions out of the per-read table.
@@ -157,19 +168,14 @@ class TableSource final : public SeedExtendSource {
   ReadState& state_;
 };
 
+/// The left extension's final score, which seeds the right flank (bwa's
+/// sc0): the last band try the left rounds resolved.  Try 0 of a seed with
+/// a left flank always resolves, by running or by the empty-flank rule.
 int left_final_score(const SeedJobResults& e, const chain::Seed& s, int a) {
-  if (s.qbeg == 0) return s.len * a;
-  if (e.have[0][1]) return e.res[0][1].score;
-  if (e.have[0][0]) return e.res[0][0].score;
-  return s.len * a;  // empty-target left flank
-}
-
-/// The degenerate extension result of an empty target flank: ksw on zero
-/// target bases trivially keeps the initial score.
-bsw::KswResult empty_flank_result(int h0) {
-  bsw::KswResult r;
-  r.score = h0;
-  return r;
+  if (s.qbeg == 0) return s.len * a;  // no left flank
+  int bt = kMaxBandTry - 1;
+  while (bt > 0 && !e.have[0][bt]) --bt;
+  return e.res[0][bt].score;
 }
 
 }  // namespace
@@ -177,19 +183,16 @@ bsw::KswResult empty_flank_result(int h0) {
 struct BatchWorkspace::Impl {
   std::vector<ReadState> states;
   util::Arena arena;
-  std::vector<bsw::ExtendJob> jobs;
-  std::vector<JobRef> refs;
-  std::vector<JobRef> prev_refs;
+  JobPool<SeedRef> seed_pool;
   std::vector<bsw::KswResult> results;
   std::vector<smem::SmemExecutor> smem_executors;
-  std::vector<JobBlock> blocks;
   bsw::BswExecutor executor;
   std::vector<util::SwCounters> thread_counters;
-  // Paired mode: rescue attempts (spliced in pair order), their job refs,
-  // and per-pair offsets into the spliced list.
+  // Paired mode: rescue attempts (spliced in pair order), their round
+  // buffers, and per-pair offsets into the spliced list.
   std::vector<PairBlock> pair_blocks;
   std::vector<pair::RescueAttempt> attempts;
-  std::vector<RescueRef> rrefs;
+  JobPool<RescueRef> rescue_pool;
   std::vector<std::uint32_t> pair_offsets;
 };
 
@@ -207,8 +210,72 @@ inline void stage_checkpoint(CancelToken* cancel) {
   if (cancel) cancel->checkpoint();
 }
 
+/// [beg, end) of block b when n items split into n_blocks contiguous ranges
+/// in order: the split behind every block-parallel enumeration, which is
+/// what keeps a spliced list invariant across thread counts.
+std::pair<std::size_t, std::size_t> block_range(std::size_t n, int b, int n_blocks) {
+  return {n * static_cast<std::size_t>(b) / static_cast<std::size_t>(n_blocks),
+          n * static_cast<std::size_t>(b + 1) / static_cast<std::size_t>(n_blocks)};
+}
+
+/// What every pooled round shares besides its pool and callbacks.
+struct RoundEnv {
+  BatchWorkspace::Impl& ws;
+  const DriverOptions& options;
+  DriverStats* stats;
+  CancelToken* cancel;
+  util::OmpExceptionGuard& guard;
+};
+
+/// One pooled BSW round (§5.3).  enumerate(k, emit) runs for every item k
+/// in [0, n_items), one contiguous item range per thread, and calls
+/// emit(job, ref) per job; the per-block lists splice in block order, so
+/// the pool keeps item order for any thread count.  The BswExecutor runs
+/// the pool once and scatter(ref, result) stores each result.  A job the
+/// empty-flank rule resolves never enters the pool: emit scatters its
+/// result on the spot.  A cancel checkpoint follows.  Returns the number of
+/// jobs run.
+template <class Ref, class Enumerate, class Scatter>
+std::size_t pooled_round(const RoundEnv& env, JobPool<Ref>& pool, std::size_t n_items,
+                         Enumerate&& enumerate, Scatter&& scatter) {
+  util::TraceSpan round_span("bsw-round");
+  const int n_blocks = env.options.threads;
+  pool.blocks.resize(static_cast<std::size_t>(n_blocks));
+#pragma omp parallel for schedule(static, 1) num_threads(n_blocks)
+  for (int b = 0; b < n_blocks; ++b) {
+    env.guard.run([&] {
+      auto& block = pool.blocks[static_cast<std::size_t>(b)];
+      block.jobs.clear();
+      block.refs.clear();
+      const auto emit = [&](const bsw::ExtendJob& job, const Ref& ref) {
+        if (const auto r = empty_flank_result(job)) {
+          scatter(ref, *r);
+          return;
+        }
+        block.jobs.push_back(job);
+        block.refs.push_back(ref);
+      };
+      const auto [beg, end] = block_range(n_items, b, n_blocks);
+      for (std::size_t k = beg; k < end; ++k) enumerate(k, emit);
+    });
+  }
+  env.guard.rethrow();
+  pool.jobs.clear();
+  pool.refs.clear();
+  for (const auto& block : pool.blocks) {
+    pool.jobs.insert(pool.jobs.end(), block.jobs.begin(), block.jobs.end());
+    pool.refs.insert(pool.refs.end(), block.refs.begin(), block.refs.end());
+  }
+  env.ws.executor.run(pool.jobs, env.ws.results, env.options.mem.ksw,
+                      env.options.bsw, env.stats ? &env.stats->bsw_batch : nullptr);
+  for (std::size_t j = 0; j < pool.jobs.size(); ++j)
+    scatter(pool.refs[j], env.ws.results[j]);
+  stage_checkpoint(env.cancel);
+  return pool.jobs.size();
+}
+
 /// The single-end stages over one batch [batch_beg, batch_beg + nb):
-/// encode, SMEM, SAL, CHAIN, the four pooled BSW rounds, and the replayed
+/// encode, SMEM, SAL, CHAIN, the pooled seed-extension rounds, and the replayed
 /// decision logic, leaving each read's post-processed region list in
 /// states[i].regs.  When emit_sam is set the single-end SAM records are
 /// formatted in the same pass (the non-paired driver path).
@@ -217,19 +284,12 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
                    BatchWorkspace::Impl& ws, bool emit_sam,
                    std::vector<std::vector<io::SamRecord>>* per_read,
                    DriverStats* stats, CancelToken* cancel = nullptr) {
-  const util::PrefetchPolicy prefetch{options.prefetch};
+  const util::PrefetchPolicy prefetch{true};
   const int n_threads = options.threads;
   std::vector<util::SwCounters>& thread_counters = ws.thread_counters;
   std::vector<ReadState>& states = ws.states;
   util::Arena& arena = ws.arena;
-  std::vector<bsw::ExtendJob>& jobs = ws.jobs;
-  std::vector<JobRef>& refs = ws.refs;
-  std::vector<JobRef>& prev_refs = ws.prev_refs;
-  std::vector<bsw::KswResult>& results = ws.results;
   std::vector<smem::SmemExecutor>& smem_executors = ws.smem_executors;
-  std::vector<JobBlock>& blocks = ws.blocks;
-  bsw::BswExecutor& executor = ws.executor;
-  const int bsw_threads = executor.threads();
   // Stream id for span attribution: OpenMP spawns fresh threads whose
   // thread-local trace context is empty, so each parallel region below
   // re-seeds it from the orchestrating thread's value.
@@ -400,126 +460,65 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
   guard.rethrow();
   stage_checkpoint(cancel);
 
-  // --- BSW stage: four pooled SIMD rounds.  Both halves run parallel:
-  // job enumeration builds contiguous per-block lists spliced in read
-  // order, and the executor dispatches width-aligned chunks across
-  // threads.  The pooled list and every result are bit-identical to the
-  // serial path for any thread count. ---
+  // --- BSW stage: one pooled round per (side, band try), left side first
+  // because the right flank starts from the left's final score. ---
   {
     util::StageSpan bsw_span(util::Stage::kBsw);
     util::CounterCapture capture;  // banks the executor's reduced counters
-    // Enumerate items [0, n_items) into per-block job lists built
-    // concurrently, then splice in block order.  Blocks are contiguous
-    // item ranges, so the spliced pool preserves read order exactly.
-    auto enumerate = [&](int n_items, auto&& body) {
-      const int n_blocks = static_cast<int>(blocks.size());
-#pragma omp parallel for schedule(static, 1) num_threads(bsw_threads)
-      for (int b = 0; b < n_blocks; ++b) {
-        guard.run([&] {
-          JobBlock& jb = blocks[static_cast<std::size_t>(b)];
-          jb.jobs.clear();
-          jb.refs.clear();
-          const int beg = static_cast<int>(
-              static_cast<std::int64_t>(n_items) * b / n_blocks);
-          const int end = static_cast<int>(
-              static_cast<std::int64_t>(n_items) * (b + 1) / n_blocks);
-          for (int k = beg; k < end; ++k) body(k, jb);
-        });
-      }
-      guard.rethrow();
-      jobs.clear();
-      refs.clear();
-      for (const JobBlock& jb : blocks) {
-        jobs.insert(jobs.end(), jb.jobs.begin(), jb.jobs.end());
-        refs.insert(refs.end(), jb.refs.begin(), jb.refs.end());
-      }
+    const RoundEnv env{ws, options, stats, cancel, guard};
+    JobPool<SeedRef>& pool = ws.seed_pool;
+    const int w = options.mem.w;
+    const int a = options.mem.ksw.a;
+    const auto side_job = [&](ReadState& rs, std::uint32_t ci, std::uint32_t si,
+                              int side, int bt) {
+      ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
+      const chain::Seed& s = rs.chains[ci].seeds[si];
+      if (side == 0) return make_left_job(ctx, rs.crefs[ci], s, w << bt);
+      return make_right_job(ctx, rs.crefs[ci], s, w << bt,
+                            left_final_score(rs.entry(ci, si), s, a));
     };
-
-    auto run_round = [&]() {
-      util::TraceSpan round_span("bsw-round");
-      executor.run(jobs, results, options.mem.ksw, options.bsw,
-                   stats ? &stats->bsw_batch : nullptr);
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const JobRef& ref = refs[j];
-        auto& entry = states[ref.read].entry(ref.chain, ref.seed);
-        entry.res[ref.side][ref.bt] = results[j];
-        entry.have[ref.side][ref.bt] = true;
-      }
-      if (stats) stats->extensions_computed += jobs.size();
-      stage_checkpoint(cancel);  // between pooled rounds
+    const auto scatter = [&](const SeedRef& ref, const bsw::KswResult& r) {
+      SeedJobResults& e = states[ref.read].entry(ref.chain, ref.seed);
+      e.res[ref.side][ref.bt] = r;
+      e.have[ref.side][ref.bt] = true;
     };
-
-    // Round L1.
-    enumerate(nb, [&](int i, JobBlock& jb) {
-      ReadState& rs = states[static_cast<std::size_t>(i)];
-      ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-      for (std::size_t ci = 0; ci < rs.chains.size(); ++ci)
-        for (std::size_t si = 0; si < rs.chains[ci].seeds.size(); ++si) {
-          const chain::Seed& s = rs.chains[ci].seeds[si];
-          if (s.qbeg == 0) continue;
-          const auto job = make_left_job(ctx, rs.crefs[ci], s, options.mem.w);
-          if (job.tlen == 0) continue;
-          jb.jobs.push_back(job);
-          jb.refs.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(ci),
-                             static_cast<std::uint32_t>(si), 0, 0});
-        }
-    });
-    run_round();
-
-    // Round L2: band-doubling retries.
-    prev_refs.swap(refs);
-    enumerate(static_cast<int>(prev_refs.size()), [&](int k, JobBlock& jb) {
-      const JobRef& ref = prev_refs[static_cast<std::size_t>(k)];
-      ReadState& rs = states[ref.read];
-      const auto& e = rs.entry(ref.chain, ref.seed);
-      const auto& r1 = e.res[0][0];
-      if (!band_retry_needed(r1.score, -1, r1.max_off, options.mem.w)) return;
-      ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-      const chain::Seed& s = rs.chains[ref.chain].seeds[ref.seed];
-      jb.jobs.push_back(make_left_job(ctx, rs.crefs[ref.chain], s, options.mem.w << 1));
-      jb.refs.push_back({ref.read, ref.chain, ref.seed, 0, 1});
-    });
-    run_round();
-
-    // Round R1.
-    enumerate(nb, [&](int i, JobBlock& jb) {
-      ReadState& rs = states[static_cast<std::size_t>(i)];
-      ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-      const int l_query = static_cast<int>(rs.query.size());
-      for (std::size_t ci = 0; ci < rs.chains.size(); ++ci)
-        for (std::size_t si = 0; si < rs.chains[ci].seeds.size(); ++si) {
-          const chain::Seed& s = rs.chains[ci].seeds[si];
-          if (s.qbeg + s.len == l_query) continue;
-          const int sc0 =
-              left_final_score(rs.table[rs.seed_off[ci] + si], s, options.mem.ksw.a);
-          const auto job = make_right_job(ctx, rs.crefs[ci], s, options.mem.w, sc0);
-          if (job.tlen == 0) continue;
-          jb.jobs.push_back(job);
-          jb.refs.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(ci),
-                             static_cast<std::uint32_t>(si), 1, 0});
-        }
-    });
-    run_round();
-
-    // Round R2.
-    prev_refs.swap(refs);
-    enumerate(static_cast<int>(prev_refs.size()), [&](int k, JobBlock& jb) {
-      const JobRef& ref = prev_refs[static_cast<std::size_t>(k)];
-      ReadState& rs = states[ref.read];
-      const chain::Seed& s = rs.chains[ref.chain].seeds[ref.seed];
-      const auto& e = rs.entry(ref.chain, ref.seed);
-      const int sc0 = left_final_score(e, s, options.mem.ksw.a);
-      const auto& r1 = e.res[1][0];
-      if (!band_retry_needed(r1.score, sc0, r1.max_off, options.mem.w)) return;
-      ExtendContext ctx{options.mem, index, rs.query, rs.query_rev};
-      jb.jobs.push_back(
-          make_right_job(ctx, rs.crefs[ref.chain], s, options.mem.w << 1, sc0));
-      jb.refs.push_back({ref.read, ref.chain, ref.seed, 1, 1});
-    });
-    run_round();
-
+    std::size_t computed = 0;
+    for (std::uint8_t side = 0; side < 2; ++side) {
+      // Try 0: every seed with a flank on this side.
+      computed += pooled_round(env, pool, static_cast<std::size_t>(nb),
+                               [&](std::size_t i, const auto& emit) {
+        ReadState& rs = states[i];
+        const int l_query = static_cast<int>(rs.query.size());
+        for (std::uint32_t ci = 0; ci < rs.chains.size(); ++ci)
+          for (std::uint32_t si = 0; si < rs.chains[ci].seeds.size(); ++si) {
+            const chain::Seed& s = rs.chains[ci].seeds[si];
+            if (side == 0 ? s.qbeg == 0 : s.qbeg + s.len == l_query) continue;
+            emit(side_job(rs, ci, si, side, 0),
+                 SeedRef{static_cast<std::uint32_t>(i), ci, si, side, 0});
+          }
+      }, scatter);
+      // Band-doubling retries: try bt runs where try bt-1 changed the score
+      // and its best cell wandered too far from the diagonal.
+      for (std::uint8_t bt = 1; bt < kMaxBandTry; ++bt) {
+        pool.prev_refs.swap(pool.refs);
+        computed += pooled_round(env, pool, pool.prev_refs.size(),
+                                 [&](std::size_t k, const auto& emit) {
+          const SeedRef& ref = pool.prev_refs[k];
+          ReadState& rs = states[ref.read];
+          const SeedJobResults& e = rs.entry(ref.chain, ref.seed);
+          const chain::Seed& s = rs.chains[ref.chain].seeds[ref.seed];
+          // The score before try bt-1 (process_chains's `prev`).
+          const int prev = bt >= 2     ? e.res[side][bt - 2].score
+                           : side == 0 ? -1
+                                       : left_final_score(e, s, a);
+          const bsw::KswResult& r = e.res[side][bt - 1];
+          if (!band_retry_needed(r.score, prev, r.max_off, w << (bt - 1))) return;
+          emit(side_job(rs, ref.chain, ref.seed, side, bt),
+               SeedRef{ref.read, ref.chain, ref.seed, side, bt});
+        }, scatter);
+      }
+    }
+    if (stats) stats->extensions_computed += computed;
     // The executor reduces worker-thread counters onto this (master)
     // thread's TLS sink; the capture banks exactly this session's share.
     thread_counters[0] += capture.take();
@@ -589,7 +588,7 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   std::vector<ReadState>& states = ws.states;
   const std::uint32_t trace_pid = util::trace_stream_id();
   util::StageSpan pair_span(util::Stage::kPair);
-  util::CounterCapture capture;  // banks the serial rescue rounds' counters
+  util::CounterCapture capture;  // banks the rescue rounds' executor counters
   util::OmpExceptionGuard guard;  // see batch_regions
 
   // --- Rescue harvest: parallel blocks over contiguous pair ranges,
@@ -609,11 +608,10 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   //      rescanning and re-extending — output-identical, work-free;
   //   3. scan: the rolling-hash RescueScanner, built once per mate
   //      orientation and slid across each surviving window. ---
-  if (ws.pair_blocks.size() != ws.blocks.size())
-    ws.pair_blocks.resize(ws.blocks.size());
-  const int n_blocks = static_cast<int>(ws.pair_blocks.size());
+  ws.pair_blocks.resize(static_cast<std::size_t>(n_threads));
+  const int n_blocks = n_threads;
   const int rescue_k = popt.rescue_seed_len;
-#pragma omp parallel for schedule(static, 1) num_threads(static_cast<int>(ws.blocks.size()))
+#pragma omp parallel for schedule(static, 1) num_threads(n_blocks)
   for (int b = 0; b < n_blocks; ++b) {
     guard.run([&] {
     util::TraceStreamScope trace_ctx(trace_pid);
@@ -624,11 +622,8 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
     // Per-mate scratch; capacity reused across the block's pairs.
     std::vector<SeenWindow> seen;
     std::vector<std::vector<seq::Code>> zero_wins;  // anchor-less contents
-    const int beg = static_cast<int>(
-        static_cast<std::int64_t>(n_pairs) * b / n_blocks);
-    const int end = static_cast<int>(
-        static_cast<std::int64_t>(n_pairs) * (b + 1) / n_blocks);
-    for (int p = beg; p < end; ++p) {
+    const auto [beg, end] = block_range(static_cast<std::size_t>(n_pairs), b, n_blocks);
+    for (int p = static_cast<int>(beg); p < static_cast<int>(end); ++p) {
       for (int e = 0; e < 2; ++e) {
         ReadState& ra = states[static_cast<std::size_t>(2 * p + e)];
         ReadState& rm = states[static_cast<std::size_t>(2 * p + (e ^ 1))];
@@ -637,6 +632,15 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
         pair::RescueScanner scanners[2];  // [is_rev], built on first window
         bool scanner_built[2] = {false, false};
         bool satisfied[4] = {false, false, false, false};
+        // An anchor with an exact run >= min_seed_len guarantees an
+        // accepted rescue for its (mate, orientation).
+        const auto note_satisfied = [&](const pair::RescueAttempt& at, int d) {
+          if (!popt.rescue_skip) return;
+          for (int an = 0; an < at.n_anchors; ++an)
+            if (at.anchors[static_cast<std::size_t>(an)].exact_run >=
+                mopt.seeding.min_seed_len)
+              satisfied[d] = true;
+        };
         seen.clear();
         zero_wins.clear();
         // Anchor regions: near-ties of the best (within pen_unpaired, as in
@@ -710,11 +714,7 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
               at.n_anchors = src.n_anchors;
               at.anchors = src.anchors;  // geometry now; results replayed later
               at.dup_of = canon;         // block-local; rebased at splice
-              if (popt.rescue_skip)
-                for (int an = 0; an < at.n_anchors; ++an)
-                  if (at.anchors[static_cast<std::size_t>(an)].exact_run >=
-                      mopt.seeding.min_seed_len)
-                    satisfied[d] = true;
+              note_satisfied(at, d);
               pb.attempts.push_back(std::move(at));
               continue;
             }
@@ -723,7 +723,7 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
                 w.is_rev ? rm.query_rc : rm.query;
             pair::RescueScanner& scanner = scanners[w.is_rev ? 1 : 0];
             if (!scanner_built[w.is_rev ? 1 : 0]) {
-              scanner.build(seq, rescue_k, popt.rescue_hash_bits);
+              scanner.build(seq, rescue_k, pair::kRescueHashBits);
               scanner_built[w.is_rev ? 1 : 0] = true;
             }
             at.n_anchors =
@@ -735,11 +735,7 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
               zero_wins.push_back(std::move(at.win));
               continue;
             }
-            if (popt.rescue_skip)
-              for (int an = 0; an < at.n_anchors; ++an)
-                if (at.anchors[static_cast<std::size_t>(an)].exact_run >=
-                    mopt.seeding.min_seed_len)
-                  satisfied[d] = true;
+            note_satisfied(at, d);
             at.win_rev.assign(at.win.rbegin(), at.win.rend());
             seen.push_back({at.fp, static_cast<std::uint32_t>(at.win.size()),
                             w.is_rev,
@@ -776,98 +772,48 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
     ws.pair_offsets[static_cast<std::size_t>(p) + 1] +=
         ws.pair_offsets[static_cast<std::size_t>(p)];
 
-  // --- Rescue rounds: left extensions, then right extensions seeded with
-  // the left scores, both through the shared executor. ---
-  auto mate_state = [&](const pair::RescueAttempt& at) -> ReadState& {
-    return states[static_cast<std::size_t>(2 * at.pair + at.mate)];
-  };
-  auto oriented = [&](const pair::RescueAttempt& at, bool reversed)
-      -> std::span<const seq::Code> {
-    ReadState& rm = mate_state(at);
-    if (!at.is_rev) return reversed ? rm.query_rev : rm.query;
-    return reversed ? rm.query_comp : rm.query_rc;
-  };
-
-  std::vector<bsw::ExtendJob>& jobs = ws.jobs;
-  std::vector<bsw::KswResult>& results = ws.results;
-  std::vector<RescueRef>& rrefs = ws.rrefs;
+  // --- Rescue rounds over the attempts: left flanks (mate prefix against
+  // window prefix, both reversed), then right flanks seeded with the left
+  // scores. ---
+  const RoundEnv env{ws, options, stats, cancel, guard};
   std::uint64_t rescue_jobs = 0;
-
-  jobs.clear();
-  rrefs.clear();
-  for (std::uint32_t ai = 0; ai < attempts.size(); ++ai) {
-    pair::RescueAttempt& at = attempts[ai];
-    if (at.dup_of >= 0) continue;  // replayed from the canonical attempt
-    const auto seq_rev = oriented(at, /*reversed=*/true);
-    const int l_ms = static_cast<int>(seq_rev.size());
-    for (int an = 0; an < at.n_anchors; ++an) {
-      pair::RescueAnchor& anchor = at.anchors[static_cast<std::size_t>(an)];
-      if (anchor.qbeg == 0) continue;  // no left flank
-      const int h0 = anchor.len * mopt.ksw.a;
-      if (anchor.tbeg == 0) {  // empty target flank
-        anchor.left = empty_flank_result(h0);
-        anchor.have_left = true;
-        continue;
+  for (int side = 0; side < 2; ++side) {
+    rescue_jobs += pooled_round(env, ws.rescue_pool, attempts.size(),
+                                [&](std::size_t ai, const auto& emit) {
+      const pair::RescueAttempt& at = attempts[ai];
+      if (at.dup_of >= 0) return;  // replayed from the canonical attempt
+      const ReadState& rm = states[static_cast<std::size_t>(2 * at.pair + at.mate)];
+      const int l_ms = static_cast<int>(rm.query.size());
+      const int l_win = static_cast<int>(at.win.size());
+      for (int an = 0; an < at.n_anchors; ++an) {
+        const pair::RescueAnchor& anchor = at.anchors[static_cast<std::size_t>(an)];
+        const int qe = anchor.qbeg + anchor.len, te = anchor.tbeg + anchor.len;
+        bsw::ExtendJob job;
+        job.w = mopt.w;
+        if (side == 0) {
+          if (anchor.qbeg == 0) continue;  // no left flank
+          job.query = (at.is_rev ? rm.query_comp : rm.query_rev).data() +
+                      (l_ms - anchor.qbeg);
+          job.qlen = anchor.qbeg;
+          job.target = at.win_rev.data() + (l_win - anchor.tbeg);
+          job.tlen = anchor.tbeg;
+          job.h0 = anchor.len * mopt.ksw.a;
+        } else {
+          if (qe == l_ms) continue;  // no right flank
+          job.query = (at.is_rev ? rm.query_rc : rm.query).data() + qe;
+          job.qlen = l_ms - qe;
+          job.target = at.win.data() + te;
+          job.tlen = l_win - te;
+          job.h0 = anchor.qbeg > 0 ? anchor.left.score : anchor.len * mopt.ksw.a;
+        }
+        emit(job, RescueRef{static_cast<std::uint32_t>(ai),
+                            static_cast<std::uint32_t>(an)});
       }
-      bsw::ExtendJob job;
-      job.query = seq_rev.data() + (l_ms - anchor.qbeg);
-      job.qlen = anchor.qbeg;
-      job.target = at.win_rev.data() +
-                   (static_cast<idx_t>(at.win_rev.size()) - anchor.tbeg);
-      job.tlen = anchor.tbeg;
-      job.h0 = h0;
-      job.w = mopt.w;
-      jobs.push_back(job);
-      rrefs.push_back({ai, static_cast<std::uint32_t>(an)});
-    }
-  }
-  rescue_jobs += jobs.size();
-  ws.executor.run(jobs, results, mopt.ksw, options.bsw,
-                  stats ? &stats->bsw_batch : nullptr);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    pair::RescueAnchor& anchor =
-        attempts[rrefs[j].attempt].anchors[rrefs[j].anchor];
-    anchor.left = results[j];
-    anchor.have_left = true;
-  }
-
-  jobs.clear();
-  rrefs.clear();
-  for (std::uint32_t ai = 0; ai < attempts.size(); ++ai) {
-    pair::RescueAttempt& at = attempts[ai];
-    if (at.dup_of >= 0) continue;  // replayed from the canonical attempt
-    const auto seq = oriented(at, /*reversed=*/false);
-    const int l_ms = static_cast<int>(seq.size());
-    const int l_win = static_cast<int>(at.win.size());
-    for (int an = 0; an < at.n_anchors; ++an) {
-      pair::RescueAnchor& anchor = at.anchors[static_cast<std::size_t>(an)];
-      if (anchor.qbeg + anchor.len == l_ms) continue;  // no right flank
-      const int sc0 =
-          anchor.qbeg > 0 ? anchor.left.score : anchor.len * mopt.ksw.a;
-      if (anchor.tbeg + anchor.len == l_win) {  // empty target flank
-        anchor.right = empty_flank_result(sc0);
-        anchor.have_right = true;
-        continue;
-      }
-      bsw::ExtendJob job;
-      job.query = seq.data() + anchor.qbeg + anchor.len;
-      job.qlen = l_ms - anchor.qbeg - anchor.len;
-      job.target = at.win.data() + anchor.tbeg + anchor.len;
-      job.tlen = l_win - anchor.tbeg - anchor.len;
-      job.h0 = sc0;
-      job.w = mopt.w;
-      jobs.push_back(job);
-      rrefs.push_back({ai, static_cast<std::uint32_t>(an)});
-    }
-  }
-  rescue_jobs += jobs.size();
-  ws.executor.run(jobs, results, mopt.ksw, options.bsw,
-                  stats ? &stats->bsw_batch : nullptr);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    pair::RescueAnchor& anchor =
-        attempts[rrefs[j].attempt].anchors[rrefs[j].anchor];
-    anchor.right = results[j];
-    anchor.have_right = true;
+    }, [&](const RescueRef& ref, const bsw::KswResult& r) {
+      pair::RescueAnchor& anchor = attempts[ref.attempt].anchors[ref.anchor];
+      (side == 0 ? anchor.left : anchor.right) = r;
+      (side == 0 ? anchor.have_left : anchor.have_right) = true;
+    });
   }
   // Replay extension results into deduped attempts: identical window
   // content + identical oriented mate => identical jobs => identical
@@ -879,7 +825,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   ws.thread_counters[0].pe_rescue_jobs += rescue_jobs;
   // The executor reduced its worker counters onto this thread's TLS sink.
   ws.thread_counters[0] += capture.take();
-  stage_checkpoint(cancel);
 
   // --- Finalize: splice rescue hits into the mates' region lists, pair,
   // and emit paired SAM — read-parallel per pair. ---
@@ -940,8 +885,8 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
 }
 
 /// Workspace configuration + batch slicing shared by align_chunk and
-/// collect_regions: sizes the per-thread counters, SMEM executors and BSW
-/// blocks/executor for this chunk's options, then invokes
+/// collect_regions: sizes the per-thread counters, SMEM executors and the
+/// BSW executor for this chunk's options, then invokes
 /// body(batch_beg, nb) per batch_size slice with ws.states grown to fit.
 template <class Body>
 void for_each_batch(std::span<const seq::Read> reads, const DriverOptions& options,
@@ -951,10 +896,7 @@ void for_each_batch(std::span<const seq::Read> reads, const DriverOptions& optio
   if (ws.smem_executors.size() < static_cast<std::size_t>(n_threads))
     ws.smem_executors.resize(static_cast<std::size_t>(n_threads));
   for (auto& ex : ws.smem_executors) ex.set_inflight(options.smem_inflight);
-  const int bsw_threads = std::max(1, options.effective_bsw_threads());
-  if (ws.blocks.size() != static_cast<std::size_t>(bsw_threads))
-    ws.blocks.resize(static_cast<std::size_t>(bsw_threads));
-  ws.executor.set_threads(bsw_threads);
+  ws.executor.set_threads(n_threads);
 
   for (std::size_t batch_beg = 0; batch_beg < reads.size();
        batch_beg += static_cast<std::size_t>(options.batch_size)) {
@@ -984,8 +926,6 @@ void align_chunk(const index::Mem2Index& index, std::span<const seq::Read> reads
   util::StageSpan chunk_span(util::Stage::kMisc, stats ? &stats->stages : nullptr);
   MEM2_REQUIRE(index.has_cp32(), "batch driver needs the CP32 index");
   MEM2_REQUIRE(index.has_flat_sa(), "batch driver needs the flat SA");
-  MEM2_REQUIRE(options.mem.max_band_try <= 2,
-               "batch enumeration supports at most 2 band tries (bwa's MAX_BAND_TRY)");
   if (options.paired) {
     MEM2_REQUIRE(reads.size() % 2 == 0, "paired mode needs an even read count");
     MEM2_REQUIRE(options.batch_size % 2 == 0, "paired mode needs an even batch size");

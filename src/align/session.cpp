@@ -79,9 +79,8 @@ SessionCore::SessionCore(const index::Mem2Index& index, DriverOptions options,
       q_mu_(shared_mu ? shared_mu : &own_mu_),
       work_cv_(shared_work_cv ? shared_work_cv : &own_work_cv_) {
   // With several workers available the parallelism comes from concurrent
-  // batches: each batch runs serially inside.  An explicit bsw_threads
-  // request is still honoured.  With one worker, behave exactly like the
-  // one-shot driver.
+  // batches: each batch runs serially inside.  With one worker, behave
+  // exactly like the one-shot driver.
   if (pool_size > 1) worker_options_.threads = 1;
 }
 

@@ -37,10 +37,6 @@ struct PairOptions {
   int max_matesw = 50;         // bwa -m: rescue attempts per mate
   int rescue_seed_len = 11;    // exact-anchor length for rescue seeding
   int max_rescue_anchors = 4;  // candidate diagonals evaluated per window
-  /// Slot-count exponent of the rolling-hash probe table (rescue_scan.h):
-  /// 1 << rescue_hash_bits slots.  Only affects collision-chain length,
-  /// never the anchor set; validated in [1, kMaxRescueHashBits].
-  int rescue_hash_bits = 7;
   /// Determinism-preserving rescue skipping (bwa mem_matesw's sequential
   /// stop-when-satisfied behavior, reformulated): windows of one pair are
   /// evaluated in a fixed canonical order (anchor region rank, then

@@ -18,10 +18,9 @@
 //                rolling-hash RescueScanner (rescue_scan.h), whose anchor
 //                set is identical to the reference nested memcmp scan;
 //   3. extend:   every anchor becomes a left-extension job, then a
-//                right-extension job with the left score as h0 — both
-//                dispatched through the shared BswExecutor in pooled rounds
-//                spliced in pair order, exactly like the four extension
-//                rounds of the batch driver;
+//                right-extension job with the left score as h0 — two of
+//                the batch driver's pooled BSW rounds, the same primitive
+//                that runs seed extension, spliced in pair order;
 //   4. finalize: the best-scoring anchor (ties: smaller window offset)
 //                whose score reaches min_seed_len * a becomes a new AlnReg
 //                on the rescued mate, flagged `rescued`.

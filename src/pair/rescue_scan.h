@@ -43,8 +43,12 @@ inline constexpr int kMaxRescueAnchors = 8;
 /// is bounds-tested in tests/test_rescue_scan.cpp.
 inline constexpr int kMaxRescueProbes = 64;
 
-/// Upper bound of PairOptions::rescue_hash_bits (table slots = 1 << bits).
+/// Upper bound of RescueScanner::build's hash_bits (table slots = 1 << bits).
 inline constexpr int kMaxRescueHashBits = 10;
+
+/// The driver's probe-table size exponent: 1 << 7 slots.  It only affects
+/// collision-chain length, never the anchor set.
+inline constexpr int kRescueHashBits = 7;
 
 /// One exact-match anchor of the oriented mate inside a window, plus the
 /// two extension results filled in by the pooled BSW rounds.

@@ -43,7 +43,7 @@ TEST(BatchDeterminism, IdenticalSamAndStatsAcrossThreadCounts) {
   std::vector<std::string> ref_sam;
   std::uint64_t ref_computed = 0, ref_used = 0;
   util::SwCounters ref_counters;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 5, 8}) {
     DriverOptions opt;
     opt.mode = Mode::kBatch;
     opt.threads = threads;
@@ -68,45 +68,27 @@ TEST(BatchDeterminism, IdenticalSamAndStatsAcrossThreadCounts) {
   }
 }
 
-TEST(BatchDeterminism, BswThreadKnobIndependentOfPipelineThreads) {
-  Fixture fx;
-  DriverOptions base;
-  base.mode = Mode::kBatch;
-  base.threads = 1;
-  const auto expect = sam_lines(align_reads(fx.index, fx.reads, base));
-
-  for (int bsw_threads : {2, 5}) {
-    DriverOptions opt = base;
-    opt.bsw_threads = bsw_threads;  // BSW rounds parallel, rest serial
-    EXPECT_EQ(opt.effective_bsw_threads(), bsw_threads);
-    ASSERT_EQ(sam_lines(align_reads(fx.index, fx.reads, opt)), expect)
-        << "bsw_threads=" << bsw_threads;
-  }
-
-  DriverOptions follow = base;
-  follow.threads = 4;  // bsw_threads=0 follows `threads`
-  EXPECT_EQ(follow.effective_bsw_threads(), 4);
-  ASSERT_EQ(sam_lines(align_reads(fx.index, fx.reads, follow)), expect);
-}
-
-TEST(BatchDeterminism, CountersInvariantAcrossBswThreadCounts) {
+TEST(BatchDeterminism, BswCountersInvariantAcrossThreadCounts) {
   // The executor reduces worker-thread software counters onto the calling
-  // thread, so BSW cell/pair totals match the serial path exactly.
+  // thread, so BSW cell/pair totals match the serial path exactly, with the
+  // pooled rounds enumerated and run on one thread or four.
   Fixture fx;
+  std::vector<std::string> ref_sam;
   std::uint64_t ref_pairs = 0, ref_cells = 0;
-  for (int bsw_threads : {1, 4}) {
+  for (int threads : {1, 4}) {
     DriverOptions opt;
     opt.mode = Mode::kBatch;
-    opt.threads = 1;
-    opt.bsw_threads = bsw_threads;
+    opt.threads = threads;
     DriverStats stats;
-    align_reads(fx.index, fx.reads, opt, &stats);
-    if (bsw_threads == 1) {
+    const auto sam = sam_lines(align_reads(fx.index, fx.reads, opt, &stats));
+    if (threads == 1) {
+      ref_sam = sam;
       ref_pairs = stats.counters.bsw_pairs;
       ref_cells = stats.counters.bsw_cells_total;
       ASSERT_GT(ref_pairs, 0u);
       continue;
     }
+    ASSERT_EQ(sam, ref_sam);
     EXPECT_EQ(stats.counters.bsw_pairs, ref_pairs);
     EXPECT_EQ(stats.counters.bsw_cells_total, ref_cells);
   }

@@ -312,7 +312,7 @@ void process_chains(const ExtendContext& ctx,
 
       if (s.qbeg) {  // left extension
         bsw::KswResult r;
-        for (int bt = 0; bt < opt.max_band_try; ++bt) {
+        for (int bt = 0; bt < kMaxBandTry; ++bt) {
           const int prev = a.score;
           aw0 = opt.w << bt;
           const auto job = make_left_job(ctx, *cref, s, aw0);
@@ -339,7 +339,7 @@ void process_chains(const ExtendContext& ctx,
         const int sc0 = a.score;
         const idx_t re_off = s.rbeg + s.len - cref->rmax0;
         bsw::KswResult r;
-        for (int bt = 0; bt < opt.max_band_try; ++bt) {
+        for (int bt = 0; bt < kMaxBandTry; ++bt) {
           const int prev = a.score;
           aw1 = opt.w << bt;
           const auto job = make_right_job(ctx, *cref, s, aw1, sc0);

@@ -8,6 +8,10 @@
 // invariance tests can't see (they compare a run against itself under
 // different threadings — a wrong-everywhere change passes them).
 //
+// Beyond the bytes, expected_counts.txt pins each batch-mode run's job
+// lists (extensions computed and used, BSW pairs, rescue jobs and windows):
+// a refactor that adds or drops a job without changing SAM fails here.
+//
 // Regenerate after an INTENDED output change with:
 //   ./build/test_golden_sam --bless
 // which rewrites the fixtures in the source tree (MEM2_GOLDEN_DIR) and then
@@ -121,7 +125,7 @@ align::DriverOptions pe_options() {
 
 struct AlignOut {
   std::vector<std::string> sam;
-  util::SwCounters counters;
+  align::DriverStats stats;
 };
 
 AlignOut run(const index::Mem2Index& index, const std::vector<seq::Read>& reads,
@@ -132,7 +136,7 @@ AlignOut run(const index::Mem2Index& index, const std::vector<seq::Read>& reads,
   align::DriverStats stats;
   EXPECT_TRUE(aligner.align(reads, sink, &stats).ok());
   AlignOut out;
-  out.counters = stats.counters;
+  out.stats = stats;
   out.sam.reserve(sink.records().size());
   for (const auto& rec : sink.records()) out.sam.push_back(rec.to_line());
   return out;
@@ -153,6 +157,29 @@ std::vector<std::string> read_lines(const std::string& p) {
   return lines;
 }
 
+/// One expected_counts.txt line: the corpus name, then the job-list counts
+/// of its batch-mode run.
+std::string count_line(const char* corpus, const align::DriverStats& s) {
+  return std::string(corpus) +
+         " extensions_computed=" + std::to_string(s.extensions_computed) +
+         " extensions_used=" + std::to_string(s.extensions_used) +
+         " bsw_pairs=" + std::to_string(s.counters.bsw_pairs) +
+         " pe_rescue_jobs=" + std::to_string(s.counters.pe_rescue_jobs) +
+         " pe_rescue_windows=" + std::to_string(s.counters.pe_rescue_windows);
+}
+
+void expect_counts(const char* corpus, const align::DriverStats& s) {
+  const std::string key = std::string(corpus) + " ";
+  for (const auto& l : read_lines(path("expected_counts.txt")))
+    if (l.compare(0, key.size(), key) == 0) {
+      EXPECT_EQ(count_line(corpus, s), l)
+          << corpus << ": job counts diverged from tests/golden/ — if the "
+             "change is intended, regenerate with: test_golden_sam --bless";
+      return;
+    }
+  ADD_FAILURE() << "no '" << corpus << "' line in expected_counts.txt";
+}
+
 /// Regenerate every fixture, once per --bless process.  Reads are written
 /// to FASTQ and read back before aligning, so round-trip fidelity of the
 /// I/O layer is part of what the corpus pins down.
@@ -168,14 +195,16 @@ void bless_fixtures() {
     io::write_fastq_file(path("pe_reads.fq"),
                          seq::simulate_pairs(ref_disk, pe_config()));
     const auto index = index::Mem2Index::build(ref_disk);
-    write_lines(path("expected_se.sam"),
-                run(index, io::read_fastq_file(path("se_reads.fq")),
-                    se_options())
-                    .sam);
-    write_lines(path("expected_pe.sam"),
-                run(index, io::read_fastq_file(path("pe_reads.fq")),
-                    pe_options())
-                    .sam);
+    std::vector<std::string> counts;
+    const auto bless = [&](const char* corpus, const index::Mem2Index& idx,
+                           const char* reads, const align::DriverOptions& opt,
+                           const char* sam) {
+      const auto out = run(idx, io::read_fastq_file(path(reads)), opt);
+      write_lines(path(sam), out.sam);
+      counts.push_back(count_line(corpus, out.stats));
+    };
+    bless("se", index, "se_reads.fq", se_options(), "expected_se.sam");
+    bless("pe", index, "pe_reads.fq", pe_options(), "expected_pe.sam");
 
     io::save_reference(path("repeat_genome.fa"),
                        seq::simulate_genome(repeat_genome_config()));
@@ -185,14 +214,11 @@ void bless_fixtures() {
     io::write_fastq_file(path("repeat_pe_reads.fq"),
                          seq::simulate_pairs(rep_disk, repeat_pe_config()));
     const auto rep_index = index::Mem2Index::build(rep_disk);
-    write_lines(path("expected_repeat_se.sam"),
-                run(rep_index, io::read_fastq_file(path("repeat_se_reads.fq")),
-                    se_options())
-                    .sam);
-    write_lines(path("expected_repeat_pe.sam"),
-                run(rep_index, io::read_fastq_file(path("repeat_pe_reads.fq")),
-                    pe_options())
-                    .sam);
+    bless("repeat_se", rep_index, "repeat_se_reads.fq", se_options(),
+          "expected_repeat_se.sam");
+    bless("repeat_pe", rep_index, "repeat_pe_reads.fq", pe_options(),
+          "expected_repeat_pe.sam");
+    write_lines(path("expected_counts.txt"), counts);
     std::fprintf(stderr, "[bless] regenerated golden corpus in %s\n",
                  dir().c_str());
   });
@@ -253,6 +279,7 @@ TEST(GoldenSam, SingleEndMatchesCorpus) {
   ASSERT_FALSE(out.sam.empty());
   expect_lines_equal(out.sam, read_lines(path("expected_se.sam")),
                      "single-end SAM");
+  expect_counts("se", out.stats);
 }
 
 TEST(GoldenSam, PairedEndMatchesCorpus) {
@@ -263,11 +290,12 @@ TEST(GoldenSam, PairedEndMatchesCorpus) {
   ASSERT_FALSE(out.sam.empty());
   // The corpus must keep every paired stage busy, or a rescue regression
   // could hide behind a workload that never rescues.
-  EXPECT_GT(out.counters.pe_proper_pairs, 0u);
-  EXPECT_GT(out.counters.pe_rescue_windows, 0u);
-  EXPECT_GT(out.counters.pe_rescue_hits, 0u);
+  EXPECT_GT(out.stats.counters.pe_proper_pairs, 0u);
+  EXPECT_GT(out.stats.counters.pe_rescue_windows, 0u);
+  EXPECT_GT(out.stats.counters.pe_rescue_hits, 0u);
   expect_lines_equal(out.sam, read_lines(path("expected_pe.sam")),
                      "paired-end SAM");
+  expect_counts("pe", out.stats);
 }
 
 TEST(GoldenSam, BaselineDriverMatchesCorpusToo) {
@@ -301,6 +329,7 @@ TEST(GoldenSam, RepeatDenseSingleEndMatchesCorpus) {
   const auto out = run(index, reads, se_options());
   ASSERT_FALSE(out.sam.empty());
   expect_lines_equal(out.sam, want, "repeat-dense single-end SAM");
+  expect_counts("repeat_se", out.stats);
   align::DriverOptions opt = se_options();
   opt.mode = align::Mode::kBaseline;
   expect_lines_equal(run(index, reads, opt).sam, want,
@@ -315,6 +344,7 @@ TEST(GoldenSam, RepeatDensePairedEndMatchesCorpus) {
   ASSERT_FALSE(out.sam.empty());
   expect_lines_equal(out.sam, read_lines(path("expected_repeat_pe.sam")),
                      "repeat-dense paired-end SAM");
+  expect_counts("repeat_pe", out.stats);
 }
 
 }  // namespace

@@ -71,7 +71,9 @@ RunOut run_paired(const Fixture& fx, DriverOptions opt, std::size_t chunk_reads)
 TEST(PairDeterminism, IdenticalAcrossThreadCounts) {
   Fixture fx;
   RunOut ref;
-  for (int threads : {1, 2, 8}) {
+  // Odd counts too: the rescue rounds split attempts into one block per
+  // thread and splice the blocks in order.
+  for (int threads : {1, 2, 5, 8}) {
     DriverOptions opt = fx.base_options();
     opt.threads = threads;
     opt.pipeline_workers = 1;  // isolate the intra-batch threading knob
@@ -115,15 +117,7 @@ TEST(PairDeterminism, IdenticalAcrossWorkersChunksAndBatches) {
     const RunOut run = run_paired(fx, opt, 64);
     ASSERT_EQ(run.sam, ref.sam) << "workers=" << workers;
     EXPECT_EQ(run.counters.pe_proper_pairs, ref.counters.pe_proper_pairs);
-  }
-  // BSW-round threads (rescue pools are block-spliced, so invariant too).
-  for (int bsw : {2, 5}) {
-    DriverOptions opt = fx.base_options();
-    opt.bsw_threads = bsw;
-    const RunOut run = run_paired(fx, opt, fx.reads.size());
-    ASSERT_EQ(run.sam, ref.sam) << "bsw_threads=" << bsw;
-  }
-}
+  }}
 
 TEST(PairDeterminism, RescueSkipOffIsInvariantAndCountPreserving) {
   // With skipping disabled every window is scanned (the pre-skip

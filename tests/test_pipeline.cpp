@@ -99,15 +99,6 @@ TEST(Pipeline, IdenticalAcrossIsaAndSorting) {
   }
 }
 
-TEST(Pipeline, IdenticalWithAndWithoutPrefetch) {
-  PipelineFixture fx(50000, 80, 151, 13);
-  DriverOptions on, off;
-  on.mode = off.mode = Mode::kBatch;
-  off.prefetch = false;
-  ASSERT_EQ(sam_lines(align_reads(fx.index, fx.reads, on)),
-            sam_lines(align_reads(fx.index, fx.reads, off)));
-}
-
 TEST(Pipeline, IdenticalAcrossThreadCounts) {
   PipelineFixture fx(50000, 100, 101, 15);
   DriverOptions one, four;
