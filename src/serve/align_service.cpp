@@ -49,15 +49,16 @@ std::string ServiceMetrics::summary() const {
      << " timed_out=" << streams_timed_out
      << " cancelled=" << streams_cancelled
      << " completed=" << streams_completed << " failed=" << streams_failed
-     << " | reads=" << reads << " records=" << records
-     << " batches=" << batches << " write_retries=" << write_retries
+     << " | reads=" << reads << " records=" << merged.records
+     << " batches=" << merged.batches
+     << " write_retries=" << merged.write_retries
      << " bsw_pairs=" << counters.bsw_pairs
      << " smems=" << counters.smems_found;
   char buf[160];
   std::snprintf(buf, sizeof buf,
                 " | batch p50=%.1fms p99=%.1fms qwait p50=%.1fms p99=%.1fms",
-                batch_latency.p50() * 1e3, batch_latency.p99() * 1e3,
-                queue_wait.p50() * 1e3, queue_wait.p99() * 1e3);
+                merged.p50() * 1e3, merged.p99() * 1e3,
+                merged.queue_wait.p50() * 1e3, merged.queue_wait.p99() * 1e3);
   os << buf;
   if (admission_wait.count() > 0) {
     std::snprintf(buf, sizeof buf, " admission p50=%.1fms p99=%.1fms",
@@ -190,16 +191,9 @@ struct AlignService::Impl {
       live.erase(std::remove(live.begin(), live.end(), core), live.end());
       reserved_batches -= core->options().queue_depth;
       const align::DriverStats& s = core->stats();  // stable after finalize()
-      const align::StreamMetrics m = core->metrics_snapshot();
       retired.reads += s.reads;
       retired.counters += s.counters;
-      retired.records += m.records;
-      retired.batches += m.batches;
-      retired.write_retries += m.write_retries;
-      retired.batch_latency += m.batch_latency;
-      retired.queue_wait += m.queue_wait;
-      for (std::size_t i = 0; i < m.stage_seconds.size(); ++i)
-        retired.stage_seconds[i] += m.stage_seconds[i];
+      retired.merged += core->metrics_snapshot();
       ++(ok ? retired.streams_completed : retired.streams_failed);
     }
     // Capacity freed: the front queued open (if any) can admit itself, and
@@ -489,16 +483,8 @@ ServiceMetrics AlignService::metrics() const {
   for (const auto& core : impl_->live) {
     // Live running totals: records/batches/counters move as batches
     // complete; a session's read count lands when it finishes.
-    const align::DriverStats s = core->stats_snapshot();
-    const align::StreamMetrics sm = core->metrics_snapshot();
-    m.counters += s.counters;
-    m.records += sm.records;
-    m.batches += sm.batches;
-    m.write_retries += sm.write_retries;
-    m.batch_latency += sm.batch_latency;
-    m.queue_wait += sm.queue_wait;
-    for (std::size_t i = 0; i < sm.stage_seconds.size(); ++i)
-      m.stage_seconds[i] += sm.stage_seconds[i];
+    m.counters += core->stats_snapshot().counters;
+    m.merged += core->metrics_snapshot();
   }
   return m;
 }

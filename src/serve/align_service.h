@@ -43,7 +43,6 @@
 // producer thread.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -97,11 +96,13 @@ struct ServiceMetrics {
   std::uint64_t streams_cancelled = 0;  // watchdog / shutdown cancellations
   std::uint64_t streams_completed = 0;  // finished with ok()
   std::uint64_t streams_failed = 0;     // finished with a sticky error
-  std::uint64_t reads = 0;
-  std::uint64_t records = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t write_retries = 0;      // transient sink retries absorbed
+  std::uint64_t reads = 0;    // a live session's reads land at finish()
   util::SwCounters counters;  // merged per-session counters
+  /// Every session's StreamMetrics, retired and live, folded with
+  /// StreamMetrics::operator+=: batches, records, write retries, the
+  /// deepest queue, batch latency, queue wait and per-stage batch seconds
+  /// (indexed by util::Stage — the cost-weighted-scheduling feed).
+  align::StreamMetrics merged;
 
   /// Admission queue wait (seconds), one observation per open() that went
   /// through the queue — admitted or timed out.  Shares the log2-bucket
@@ -110,13 +111,6 @@ struct ServiceMetrics {
   util::Histogram admission_wait;
   double admission_wait_p50() const { return admission_wait.p50(); }
   double admission_wait_p99() const { return admission_wait.p99(); }
-
-  /// Per-batch distributions merged across every session, retired and
-  /// live: end-to-end batch latency, queue wait, and per-stage batch
-  /// seconds (indexed by util::Stage — the cost-weighted-scheduling feed).
-  util::Histogram batch_latency;
-  util::Histogram queue_wait;
-  std::array<util::Histogram, align::StreamMetrics::kStages> stage_seconds;
 
   /// One-line rendering for periodic stderr snapshots.
   std::string summary() const;

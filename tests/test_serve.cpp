@@ -331,8 +331,8 @@ TEST(Serve, StreamAndServiceMetrics) {
   EXPECT_EQ(sm.streams_opened, 1u);
   EXPECT_EQ(sm.streams_completed, 1u);
   EXPECT_EQ(sm.reads, fx().sets[0].size());
-  EXPECT_EQ(sm.records, sink.records().size());
-  EXPECT_EQ(sm.batches, n_batches);
+  EXPECT_EQ(sm.merged.records, sink.records().size());
+  EXPECT_EQ(sm.merged.batches, n_batches);
   EXPECT_NE(sm.summary().find("completed=1"), std::string::npos);
 }
 
