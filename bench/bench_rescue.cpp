@@ -1,7 +1,7 @@
 // Rescue-scan kernel and PAIR-stage benchmark; writes BENCH_rescue.json.
 //
 // Micro: the reference O(window × probes) nested memcmp scan vs the
-// rolling-hash RescueScanner on realistic mate/window sizes (101 bp mates,
+// filtered 2-bit RescueScanner on realistic mate/window sizes (101 bp mates,
 // ~500 bp windows, planted repeat fragments), with the anchor sets
 // cross-checked — a perf number over diverging kernels is meaningless.
 //
@@ -133,13 +133,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (!std::strcmp(argv[i], "--smoke")) smoke = true;
 
-  bench::print_header("Rescue scan micro: reference nested memcmp vs rolling hash");
+  bench::print_header("Rescue scan micro: reference nested memcmp vs filtered 2-bit scan");
   const MicroResult micro = run_micro(smoke);
   std::printf("  %d windows x %d reps, %llu anchors, outputs %s\n",
               micro.windows, micro.reps,
               static_cast<unsigned long long>(micro.anchors),
               micro.identical ? "identical" : "DIVERGED!");
-  std::printf("  reference: %.3f us/window   rolling: %.3f us/window   speedup %.2fx\n",
+  std::printf("  reference: %.3f us/window   filtered: %.3f us/window   speedup %.2fx\n",
               micro.ref_us_per_window, micro.roll_us_per_window,
               micro.ref_us_per_window / micro.roll_us_per_window);
 
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   }
 
   if (!micro.identical) {
-    std::printf("ERROR: rolling-hash scan diverged from the reference!\n");
+    std::printf("ERROR: filtered 2-bit scan diverged from the reference!\n");
     return 1;
   }
   if (!counts_match) {

@@ -50,8 +50,7 @@ ChainRef chain_window(const ExtendContext& ctx, const chain::Chain& chain) {
 void fetch_chain_window(const index::Mem2Index& index, ChainRef& cref,
                         seq::Code* buf) {
   const std::size_t n = cref.size();
-  index.fetch(cref.rmax0, cref.rmax1, buf);
-  std::reverse_copy(buf, buf + n, buf + n);
+  index.fetch(cref.rmax0, cref.rmax1, buf, buf + n);
   cref.rseq = {buf, n};
   cref.rseq_rev = {buf + n, n};
 }

@@ -26,10 +26,12 @@
 // Cross-batch buffers live in containers owned by BatchWorkspace whose
 // capacity persists, plus an Arena for the per-read code buffers and the
 // chain reference windows (one block per read; BSW results sit in one flat
-// per-read table).  After the first batch the steady state performs no
-// system allocations for them (§3.2).  Still allocating per batch: the
-// chain lists themselves (one seed vector per chain) and, in paired mode,
-// the rescue windows, which allocate like bwa's own bns_fetch_seq does.
+// per-read table), and, in paired mode, one RescueWindowBuffers per harvest
+// block for the rescue windows.  Every reference window, chain or rescue,
+// is unpacked with its reversal in one pass (Mem2Index::fetch).  After the
+// first batch the steady state performs no system allocations for them
+// (§3.2).  Still allocating per batch: the chain lists themselves (one
+// seed vector per chain).
 // The workspace is caller-owned so the streaming Aligner session can keep
 // one per worker across many chunks; align_reads_batch wraps a throwaway
 // one.
@@ -127,23 +129,15 @@ struct JobPool {
   std::vector<Ref> refs, prev_refs;
 };
 
-/// Per-block output of the parallel rescue harvest (paired mode).
+/// Per-block output of the parallel rescue harvest (paired mode), plus the
+/// block's window buffers and skip-test scratch; capacity persists.
 struct PairBlock {
   std::vector<pair::RescueAttempt> attempts;
+  pair::RescueWindowBuffers buffers;
+  std::vector<idx_t> mate_rb;     // the rescued mate's region starts, sorted
   std::uint64_t windows = 0;      // rescue windows anchor-scanned
   std::uint64_t win_skipped = 0;  // skipped: (mate, orientation) already satisfied
   std::uint64_t win_deduped = 0;  // content-identical to an earlier window
-};
-
-/// One window already seen for the (pair, mate) being harvested — the
-/// dedup key plus where its content lives (a stored attempt, or the
-/// anchor-less side list).
-struct SeenWindow {
-  std::uint64_t fp = 0;
-  std::uint32_t len = 0;
-  bool is_rev = false;
-  std::int32_t attempt = -1;  // index into PairBlock::attempts, or -1
-  std::int32_t zero = -1;     // index into the anchor-less content list
 };
 
 /// Replays extensions out of the per-read table.
@@ -593,10 +587,14 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
 
   // --- Rescue harvest: parallel blocks over contiguous pair ranges,
   // spliced in pair order (same discipline as the extension rounds).
-  // Per (pair, mate), windows are visited in a fixed canonical order
-  // (anchor region rank, then orientation class) and run through three
-  // layers, all of whose state is local to the pair — so the harvest stays
-  // invariant across threads, chunkings and batch sizes:
+  // Per (pair, mate), the mate's region starts are sorted once, so each
+  // anchor region's already-satisfied orientation classes are one binary
+  // search each (pair::satisfied_dirs).  Windows are visited in a fixed
+  // canonical order (anchor region rank, then orientation class), fetched
+  // with their reversal in one pass into the block's RescueWindowBuffers,
+  // and run through three layers, all of whose state is local to the pair
+  // — so the harvest stays invariant across threads, chunkings and batch
+  // sizes:
   //   1. skip (popt.rescue_skip): once a window's anchor carries an exact
   //      match run >= min_seed_len, an accepted rescue for this (mate,
   //      orientation) is guaranteed, and later windows of the same class
@@ -606,8 +604,8 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   //      mate (repeat copies; verified by fingerprint + full compare)
   //      reuses the earlier anchor scan and BSW results instead of
   //      rescanning and re-extending — output-identical, work-free;
-  //   3. scan: the rolling-hash RescueScanner, built once per mate
-  //      orientation and slid across each surviving window. ---
+  //   3. scan: the filtered 2-bit RescueScanner, built once per mate
+  //      orientation and rolled across each surviving window. ---
   ws.pair_blocks.resize(static_cast<std::size_t>(n_threads));
   const int n_blocks = n_threads;
   const int rescue_k = popt.rescue_seed_len;
@@ -618,10 +616,8 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
     util::TraceSpan harvest_span("pair-harvest");
     PairBlock& pb = ws.pair_blocks[static_cast<std::size_t>(b)];
     pb.attempts.clear();
+    pb.buffers.reset();
     pb.windows = pb.win_skipped = pb.win_deduped = 0;
-    // Per-mate scratch; capacity reused across the block's pairs.
-    std::vector<SeenWindow> seen;
-    std::vector<std::vector<seq::Code>> zero_wins;  // anchor-less contents
     const auto [beg, end] = block_range(static_cast<std::size_t>(n_pairs), b, n_blocks);
     for (int p = static_cast<int>(beg); p < static_cast<int>(end); ++p) {
       for (int e = 0; e < 2; ++e) {
@@ -641,8 +637,10 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
                 mopt.seeding.min_seed_len)
               satisfied[d] = true;
         };
-        seen.clear();
-        zero_wins.clear();
+        pb.buffers.begin_mate();
+        pb.mate_rb.clear();
+        for (const AlnReg& m : rm.regs) pb.mate_rb.push_back(m.rb);
+        std::sort(pb.mate_rb.begin(), pb.mate_rb.end());
         // Anchor regions: near-ties of the best (within pen_unpaired, as in
         // bwa mem_sam_pe's rescue list), capped at max_matesw.
         int tried = 0;
@@ -654,11 +652,7 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
           // region of the mate (bwa mem_matesw's skip[] pass).
           bool skip[4];
           for (int d = 0; d < 4; ++d) skip[d] = pes.dir[d].failed;
-          for (const AlnReg& m : rm.regs) {
-            idx_t dist = 0;
-            const int d = pair::infer_dir(l_pac, a.rb, m.rb, &dist);
-            if (dist >= pes.dir[d].low && dist <= pes.dir[d].high) skip[d] = true;
-          }
+          pair::satisfied_dirs(l_pac, a.rb, pb.mate_rb, pes, skip);
           if (skip[0] && skip[1] && skip[2] && skip[3]) continue;
           // Fill the mate's auxiliary code views on first use.  Each read
           // belongs to exactly one pair, so this races with nobody.
@@ -687,35 +681,20 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
             at.is_rev = w.is_rev;
             at.rid = a.rid;
             at.win_rb = w.rb;
-            at.win = index.fetch(w.rb, w.re);
-            at.fp = pair::window_fingerprint(at.win);
+            const std::span<const seq::Code> win = pb.buffers.stage(index, w);
             // Dedup against this mate's earlier windows.
-            bool is_dup = false;
-            std::int32_t canon = -1;
-            for (const SeenWindow& sw : seen) {
-              if (sw.fp != at.fp || sw.is_rev != w.is_rev ||
-                  sw.len != static_cast<std::uint32_t>(at.win.size()))
-                continue;
-              const std::vector<seq::Code>& prev =
-                  sw.attempt >= 0
-                      ? pb.attempts[static_cast<std::size_t>(sw.attempt)].win
-                      : zero_wins[static_cast<std::size_t>(sw.zero)];
-              if (!std::equal(at.win.begin(), at.win.end(), prev.begin()))
-                continue;
-              is_dup = true;
-              canon = sw.attempt;
-              break;
-            }
-            if (is_dup) {
+            if (const auto canon = pb.buffers.find_duplicate()) {
               ++pb.win_deduped;
-              if (canon < 0) continue;  // repeated anchor-less window
+              if (*canon < 0) continue;  // repeated anchor-less window
               const pair::RescueAttempt& src =
-                  pb.attempts[static_cast<std::size_t>(canon)];
+                  pb.attempts[static_cast<std::size_t>(*canon)];
+              at.win = src.win;
+              at.win_rev = src.win_rev;
               at.n_anchors = src.n_anchors;
               at.anchors = src.anchors;  // geometry now; results replayed later
-              at.dup_of = canon;         // block-local; rebased at splice
+              at.dup_of = *canon;        // block-local; rebased at splice
               note_satisfied(at, d);
-              pb.attempts.push_back(std::move(at));
+              pb.attempts.push_back(at);
               continue;
             }
             ++pb.windows;
@@ -727,20 +706,14 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
               scanner_built[w.is_rev ? 1 : 0] = true;
             }
             at.n_anchors =
-                scanner.scan(at.win, popt.max_rescue_anchors, at.anchors.data());
+                scanner.scan(win, popt.max_rescue_anchors, at.anchors.data());
             if (at.n_anchors == 0) {
-              seen.push_back({at.fp, static_cast<std::uint32_t>(at.win.size()),
-                              w.is_rev, -1,
-                              static_cast<std::int32_t>(zero_wins.size())});
-              zero_wins.push_back(std::move(at.win));
+              pb.buffers.keep_anchorless();
               continue;
             }
             note_satisfied(at, d);
-            at.win_rev.assign(at.win.rbegin(), at.win.rend());
-            seen.push_back({at.fp, static_cast<std::uint32_t>(at.win.size()),
-                            w.is_rev,
-                            static_cast<std::int32_t>(pb.attempts.size()), -1});
-            pb.attempts.push_back(std::move(at));
+            pb.buffers.keep(at, static_cast<std::int32_t>(pb.attempts.size()));
+            pb.attempts.push_back(at);
           }
         }
       }
@@ -756,9 +729,9 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   attempts.clear();
   for (PairBlock& pb : ws.pair_blocks) {
     const std::int32_t base = static_cast<std::int32_t>(attempts.size());
-    for (auto& at : pb.attempts) {
+    for (pair::RescueAttempt& at : pb.attempts) {
       if (at.dup_of >= 0) at.dup_of += base;
-      attempts.push_back(std::move(at));
+      attempts.push_back(at);
     }
     ws.thread_counters[0].pe_rescue_windows += pb.windows;
     ws.thread_counters[0].pe_rescue_win_skipped += pb.win_skipped;

@@ -1,6 +1,9 @@
 #include "align/sam_format.h"
 
 #include <algorithm>
+#include <cstdlib>
+
+#include "util/sw_counters.h"
 
 namespace mem2::align {
 
@@ -38,52 +41,59 @@ SamAln region_to_aln(const ExtendContext& ctx, const AlnReg& reg) {
   aln.rev = reg.rb >= l_pac;
   aln.score = reg.score;
 
-  // Orient everything to the reference-forward strand.
+  // Orient everything to the reference-forward strand: the query segment
+  // is reverse-complemented and the coordinates flip.  Both segments live
+  // in per-thread scratch that only grows.
   int qb = reg.qb, qe = reg.qe;
   idx_t rb = reg.rb, re = reg.re;
-  std::vector<seq::Code> qseg;
-  if (!aln.rev) {
-    qseg.assign(ctx.query.begin() + qb, ctx.query.begin() + qe);
-  } else {
-    // Reverse-complement the query segment; coordinates flip.
-    std::vector<seq::Code> tmp(ctx.query.begin() + qb, ctx.query.begin() + qe);
-    seq::reverse_complement_inplace(tmp);
-    qseg = std::move(tmp);
-    const int nqb = l_query - qe, nqe = l_query - qb;
-    qb = nqb;
-    qe = nqe;
-    const idx_t nrb = 2 * l_pac - re, nre = 2 * l_pac - rb;
-    rb = nrb;
-    re = nre;
+  if (aln.rev) {
+    qb = l_query - reg.qe;
+    qe = l_query - reg.qb;
+    rb = 2 * l_pac - reg.re;
+    re = 2 * l_pac - reg.rb;
   }
-  auto target = ctx.index.fetch(rb, re);
-
-  // Infer the band from the achieved score (bwa infer_bw): a near-perfect
-  // region needs almost no band, which keeps SAM-FORM at the paper's ~2.5%
-  // share instead of paying the full extension band here.
-  const auto& ksw = ctx.opt.ksw;
-  auto infer_bw = [&](int l1, int l2, int score, int q_pen, int r_pen) {
-    if (l1 == l2 && l1 * ksw.a - score < (q_pen + r_pen - ksw.a) * 2) return 0;
-    int w = static_cast<int>(
-        (static_cast<double>(std::min(l1, l2)) * ksw.a - score - q_pen) / r_pen + 2.0);
-    return std::max(w, std::abs(l1 - l2));
-  };
   const int l1 = qe - qb, l2 = static_cast<int>(re - rb);
-  int band = std::max(infer_bw(l1, l2, reg.truesc, ksw.o_del, ksw.e_del),
-                      infer_bw(l1, l2, reg.truesc, ksw.o_ins, ksw.e_ins));
-  band = std::min(band, ctx.opt.w * 4);
-  // Retry with a doubled band while the global score falls short of what
-  // the extension achieved (bwa mem_reg2aln loop).
-  int score = bsw::ksw_global(qseg.data(), static_cast<int>(qseg.size()),
-                              target.data(), static_cast<int>(target.size()),
-                              ksw, band, aln.cigar);
-  while (score < reg.truesc && band < ctx.opt.w * 4) {
-    band = std::min(band * 2 + 1, ctx.opt.w * 4);
-    score = bsw::ksw_global(qseg.data(), static_cast<int>(qseg.size()),
-                            target.data(), static_cast<int>(target.size()),
-                            ksw, band, aln.cigar);
+  thread_local std::vector<seq::Code> segments;  // query segment, then target
+  if (segments.size() < static_cast<std::size_t>(l1 + l2))
+    segments.resize(static_cast<std::size_t>(l1 + l2));
+  seq::Code* const qseg = segments.data();
+  seq::Code* const target = qseg + l1;
+  if (!aln.rev) {
+    std::copy(ctx.query.begin() + qb, ctx.query.begin() + qe, qseg);
+  } else {
+    for (int i = 0; i < l1; ++i)
+      qseg[i] = seq::complement(ctx.query[static_cast<std::size_t>(reg.qe - 1 - i)]);
   }
-  aln.nm = edit_distance(aln.cigar, qseg.data(), target.data());
+  ctx.index.fetch(rb, re, target);
+
+  const auto& ksw = ctx.opt.ksw;
+  if (l1 == l2 && bsw::ksw_global_gapless(qseg, target, l1, ksw)) {
+    // Every band's traceback is the diagonal, so the band-doubling retries
+    // below would all return this CIGAR.
+    aln.cigar = {{'M', l1}};
+    ++util::tls_counters().cigar_gapless;
+  } else {
+    // Infer the band from the achieved score (bwa infer_bw): a near-perfect
+    // region needs almost no band, which keeps SAM-FORM at the paper's
+    // ~2.5% share instead of paying the full extension band here.
+    auto infer_bw = [&](int score, int q_pen, int r_pen) {
+      if (l1 == l2 && l1 * ksw.a - score < (q_pen + r_pen - ksw.a) * 2) return 0;
+      int w = static_cast<int>(
+          (static_cast<double>(std::min(l1, l2)) * ksw.a - score - q_pen) / r_pen + 2.0);
+      return std::max(w, std::abs(l1 - l2));
+    };
+    int band = std::max(infer_bw(reg.truesc, ksw.o_del, ksw.e_del),
+                        infer_bw(reg.truesc, ksw.o_ins, ksw.e_ins));
+    band = std::min(band, ctx.opt.w * 4);
+    // Retry with a doubled band while the global score falls short of what
+    // the extension achieved (bwa mem_reg2aln loop).
+    int score = bsw::ksw_global(qseg, l1, target, l2, ksw, band, aln.cigar);
+    while (score < reg.truesc && band < ctx.opt.w * 4) {
+      band = std::min(band * 2 + 1, ctx.opt.w * 4);
+      score = bsw::ksw_global(qseg, l1, target, l2, ksw, band, aln.cigar);
+    }
+  }
+  aln.nm = edit_distance(aln.cigar, qseg, target);
 
   const auto [rid, off] = ctx.index.ref().locate(rb);
   aln.rid = rid;

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "seq/dna.h"
@@ -82,8 +83,19 @@ std::string cigar_string(const Cigar& cigar);
 
 /// Banded global (Needleman-Wunsch/Gotoh) alignment with traceback; used by
 /// SAM-FORM to produce CIGARs (bwa's ksw_global2 role).  Returns the score;
-/// fills `cigar` with M/I/D runs covering the full query and target.
+/// fills `cigar` with M/I/D runs covering the full query and target.  Adds
+/// the band cells it computes to SwCounters::cigar_dp_cells.
 int ksw_global(const seq::Code* query, int qlen, const seq::Code* target,
                int tlen, const KswParams& params, int w, Cigar& cigar);
+
+/// The gapless shortcut for ksw_global on two segments of equal length
+/// `len` > 0.  A path with a gap holds at least one insertion and one
+/// deletion, so it scores at most (len-1)·max_cell − (o_ins+e_ins) −
+/// (o_del+e_del).  When the diagonal's score D beats that bound, the
+/// diagonal is the unique best path in every band, so ksw_global returns D
+/// with CIGAR lenM at any w; this returns D then, and nothing otherwise.
+std::optional<int> ksw_global_gapless(const seq::Code* query,
+                                      const seq::Code* target, int len,
+                                      const KswParams& params);
 
 }  // namespace mem2::bsw

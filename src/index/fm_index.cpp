@@ -120,19 +120,18 @@ std::vector<seq::Code> Mem2Index::fetch(idx_t rb, idx_t re) const {
   return out;
 }
 
-void Mem2Index::fetch(idx_t rb, idx_t re, seq::Code* out) const {
+void Mem2Index::fetch(idx_t rb, idx_t re, seq::Code* out, seq::Code* out_rev) const {
   MEM2_REQUIRE(rb >= 0 && rb <= re && re <= seq_len(), "fetch out of range");
   const idx_t L = l_pac();
   if (re <= L) {
-    ref_.pac().extract(static_cast<std::size_t>(rb), static_cast<std::size_t>(re), out);
+    ref_.pac().unpack(static_cast<std::size_t>(rb), static_cast<std::size_t>(re),
+                      false, out, out_rev);
   } else if (rb >= L) {
     // Entirely on the reverse strand: position p maps to forward
-    // coordinate 2L-1-p, complemented, read in increasing p order.
-    const std::size_t n = static_cast<std::size_t>(re - rb);
-    ref_.pac().extract(static_cast<std::size_t>(2 * L - re),
-                       static_cast<std::size_t>(2 * L - rb), out);
-    std::reverse(out, out + n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = seq::complement(out[i]);
+    // coordinate 2L-1-p, complemented, so the forward range [2L-re, 2L-rb)
+    // read descending is the window and read ascending is its reversal.
+    ref_.pac().unpack(static_cast<std::size_t>(2 * L - re),
+                      static_cast<std::size_t>(2 * L - rb), true, out_rev, out);
   } else {
     MEM2_REQUIRE(false, "fetch range must not cross the strand boundary");
   }

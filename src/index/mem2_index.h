@@ -68,8 +68,9 @@ class Mem2Index {
   /// doubled coordinate space: positions >= l_pac read from the reverse
   /// complement strand (bwa's bns_get_seq semantics).
   std::vector<seq::Code> fetch(idx_t rb, idx_t re) const;
-  /// The same bases written to out[0, re - rb).
-  void fetch(idx_t rb, idx_t re, seq::Code* out) const;
+  /// The same bases written to out[0, re - rb), and, when out_rev is set,
+  /// their reversal to out_rev[0, re - rb) in the same pass.
+  void fetch(idx_t rb, idx_t re, seq::Code* out, seq::Code* out_rev = nullptr) const;
 
   std::size_t memory_bytes() const {
     return fm128_.memory_bytes() + fm32_.memory_bytes() +

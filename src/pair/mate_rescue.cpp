@@ -50,6 +50,83 @@ bool rescue_window(const seq::Reference& ref, idx_t l_pac, const AlnReg& a,
   return true;
 }
 
+void satisfied_dirs(idx_t l_pac, idx_t b1, std::span<const idx_t> mate_rb,
+                    const InsertStats& pes, bool skip[4]) {
+  // infer_dir(l_pac, b1, b2): a mate region on b1's strand projects to
+  // p2 = b2, one on the other strand to p2 = 2 l_pac - 1 - b2; the class is
+  // 0 / 3 (same strand, p2 > b1 / p2 <= b1) or 1 / 2 (other strand), at
+  // distance |p2 - b1|.  Inverting each class's distance range gives one
+  // interval of b2 on one strand.
+  const bool r1 = b1 >= l_pac;
+  const idx_t same_lo = r1 ? l_pac : 0, same_hi = same_lo + l_pac - 1;
+  const idx_t other_lo = r1 ? 0 : l_pac, other_hi = other_lo + l_pac - 1;
+  const idx_t mirror = 2 * l_pac - 1 - b1;
+  const auto any_in = [&](idx_t lo, idx_t hi, idx_t strand_lo, idx_t strand_hi) {
+    lo = std::max(lo, strand_lo);
+    hi = std::min(hi, strand_hi);
+    if (lo > hi) return false;
+    const auto it = std::lower_bound(mate_rb.begin(), mate_rb.end(), lo);
+    return it != mate_rb.end() && *it <= hi;
+  };
+  for (int d = 0; d < 4; ++d) {
+    if (skip[d]) continue;
+    const idx_t high = pes.dir[d].high;
+    const idx_t low_gt = std::max<idx_t>(pes.dir[d].low, 1);  // p2 > b1
+    const idx_t low_le = std::max<idx_t>(pes.dir[d].low, 0);  // p2 <= b1
+    switch (d) {
+      case 0: skip[d] = any_in(b1 + low_gt, b1 + high, same_lo, same_hi); break;
+      case 3: skip[d] = any_in(b1 - high, b1 - low_le, same_lo, same_hi); break;
+      case 1: skip[d] = any_in(mirror - high, mirror - low_gt, other_lo, other_hi); break;
+      default: skip[d] = any_in(mirror + low_le, mirror + high, other_lo, other_hi); break;
+    }
+  }
+}
+
+void RescueWindowBuffers::reset() {
+  batch_.reset();
+  begin_mate();
+}
+
+void RescueWindowBuffers::begin_mate() {
+  seen_.clear();
+  mate_.reset();
+}
+
+std::span<const seq::Code> RescueWindowBuffers::stage(const index::Mem2Index& index,
+                                                      const RescueWindow& w) {
+  const std::size_t n = static_cast<std::size_t>(w.re - w.rb);
+  if (staged_.size() < 2 * n) staged_.resize(2 * n);  // grow only: no refill
+  index.fetch(w.rb, w.re, staged_.data(), staged_.data() + n);
+  staged_len_ = static_cast<std::uint32_t>(n);
+  staged_rev_ = w.is_rev;
+  const std::span<const seq::Code> bases(staged_.data(), n);
+  staged_fp_ = window_fingerprint(bases);
+  return bases;
+}
+
+std::optional<std::int32_t> RescueWindowBuffers::find_duplicate() const {
+  for (const Seen& s : seen_)
+    if (s.fp == staged_fp_ && s.len == staged_len_ && s.is_rev == staged_rev_ &&
+        std::equal(s.bases, s.bases + s.len, staged_.data()))
+      return s.attempt;
+  return std::nullopt;
+}
+
+void RescueWindowBuffers::keep(RescueAttempt& at, std::int32_t index) {
+  const std::size_t n = staged_len_;
+  seq::Code* copy = batch_.allocate_array<seq::Code>(2 * n);
+  std::copy_n(staged_.data(), 2 * n, copy);
+  at.win = {copy, n};
+  at.win_rev = {copy + n, n};
+  seen_.push_back({staged_fp_, copy, staged_len_, staged_rev_, index});
+}
+
+void RescueWindowBuffers::keep_anchorless() {
+  seq::Code* copy = mate_.allocate_array<seq::Code>(staged_len_);
+  std::copy_n(staged_.data(), staged_len_, copy);
+  seen_.push_back({staged_fp_, copy, staged_len_, staged_rev_, -1});
+}
+
 namespace {
 
 /// Per-anchor endpoint math — the same left/right combination rules as

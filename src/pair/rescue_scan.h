@@ -7,15 +7,21 @@
 // O(window × probes) memcmps and dominated the PAIR stage (~42% of paired
 // single-thread time on the bench genome).
 //
-// RescueScanner turns that into O(window + hits): the mate's probes are
-// hashed ONCE into a small open-chained table (built per mate orientation,
-// reused across every window of that mate), one polynomial rolling hash
-// slides across the window, and only hash hits pay a memcmp verification.
-// The emitted anchor set is IDENTICAL to the reference scan — same probes,
-// same first-anchor-per-diagonal rule, same window-order tie-breaks, same
-// max_anchors saturation point — which tests/test_rescue_scan.cpp enforces
-// on randomized inputs.  scan_rescue_anchors() below is that reference
-// implementation, kept as the property-test oracle.
+// RescueScanner turns that into a few cycles per window base.  The mate's
+// probes are indexed ONCE per mate orientation (reused across every window
+// of that mate) by their tail code: the 2-bit codes of their last
+// min(k, 32) bases packed into one 64-bit word.  The scan rolls the same
+// tail code across the window with a shift and an OR — no multiply on the
+// dependency chain — and tests it against a 4096-bit filter of the probe
+// codes.  Only a filter hit walks the probe table, and only a probe whose
+// tail code equals the window's pays a memcmp of the whole k-mer, so a
+// k > 32 probe whose last 32 bases match but whose head does not is
+// rejected there.  The emitted anchor set is IDENTICAL to the reference
+// scan — same probes, same first-anchor-per-diagonal rule, same
+// window-order tie-breaks, same max_anchors saturation point — which
+// tests/test_rescue_scan.cpp enforces on randomized inputs.
+// scan_rescue_anchors() below is that reference implementation, kept as
+// the property-test oracle.
 //
 // Both kernels also report each anchor's maximal exact match run
 // (exact_run): the contiguous equal-base stretch through the anchor k-mer.
@@ -26,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "bsw/ksw.h"
@@ -50,6 +57,10 @@ inline constexpr int kMaxRescueHashBits = 10;
 /// collision-chain length, never the anchor set.
 inline constexpr int kRescueHashBits = 7;
 
+/// Longest probe tail the scanner's rolling code holds (2 bits per base in
+/// one 64-bit word); longer probes are verified in full by memcmp.
+inline constexpr int kRescueTailBases = 32;
+
 /// One exact-match anchor of the oriented mate inside a window, plus the
 /// two extension results filled in by the pooled BSW rounds.
 struct RescueAnchor {
@@ -65,11 +76,21 @@ struct RescueAnchor {
 /// dedup byte-identical repeat windows before BSW job pooling.  Candidates
 /// matching on (fingerprint, length, orientation) are verified by a full
 /// compare before deduping, so collisions cost a memcmp, never correctness.
+/// Hashes eight codes per multiply.
 inline std::uint64_t window_fingerprint(std::span<const seq::Code> win) {
+  constexpr std::uint64_t kPrime = 0x00000100000001b3ULL;
   std::uint64_t h = 0xcbf29ce484222325ULL ^
                     (win.size() * 0x9e3779b97f4a7c15ULL);
-  for (const seq::Code c : win) h = (h ^ c) * 0x00000100000001b3ULL;
-  return h;
+  std::size_t i = 0;
+  for (; i + 8 <= win.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, win.data() + i, 8);
+    h = (h ^ w) * kPrime;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  if (i < win.size()) std::memcpy(&tail, win.data() + i, win.size() - i);
+  return (h ^ tail) * kPrime;
 }
 
 /// Reference scan (the property-test oracle): for each window offset in
@@ -79,39 +100,45 @@ int scan_rescue_anchors(std::span<const seq::Code> seq,
                         std::span<const seq::Code> win, int k, int max_anchors,
                         RescueAnchor* out);
 
-/// The rolling-hash anchor scanner.  build() once per (mate, orientation),
-/// then scan() every window of that mate; both are allocation-free (all
-/// state lives in fixed member arrays).  scan() emits exactly the anchor
-/// set of scan_rescue_anchors() on the same inputs.
+/// The filtered 2-bit anchor scanner.  build() once per (mate,
+/// orientation), then scan() every window of that mate; both are
+/// allocation-free (all state lives in fixed member arrays).  scan() emits
+/// exactly the anchor set of scan_rescue_anchors() on the same inputs.
 class RescueScanner {
  public:
   /// Index the k-mer probes of `seq` (query offsets 0, k, 2k, ..., probes
-  /// containing an ambiguous base skipped, capped at kMaxRescueProbes) into
-  /// a 1 << hash_bits slot table.  `seq` is borrowed and must outlive
-  /// scan() calls.  hash_bits is clamped to [1, kMaxRescueHashBits]; table
-  /// size only affects collision chains, never the result.
+  /// containing an ambiguous base skipped, capped at kMaxRescueProbes) by
+  /// tail code into the filter and a 1 << hash_bits slot table.  `seq` is
+  /// borrowed and must outlive scan() calls.  hash_bits is clamped to
+  /// [1, kMaxRescueHashBits]; table size only affects collision chains,
+  /// never the result.
   void build(std::span<const seq::Code> seq, int k, int hash_bits);
 
-  /// Scan one window: one rolling hash per offset, chain walk + memcmp on
-  /// hash hits, first anchor per diagonal, up to max_anchors (clamped to
-  /// kMaxRescueAnchors).  Returns the number of anchors written to `out`.
+  /// Scan one window: one rolled tail code and one filter test per offset,
+  /// a probe walk + memcmp on filter hits, first anchor per diagonal, up to
+  /// max_anchors (clamped to kMaxRescueAnchors).  Returns the number of
+  /// anchors written to `out`.
   int scan(std::span<const seq::Code> win, int max_anchors,
            RescueAnchor* out) const;
 
   int probe_count() const { return n_probes_; }
 
  private:
+  static constexpr int kFilterBits = 12;  // 4096-bit probe-code filter
+
   std::span<const seq::Code> seq_;
   int k_ = 0;
   int n_probes_ = 0;
   int bits_ = 1;
-  std::uint64_t bk1_ = 1;  // base^(k-1), the rolling removal multiplier
+  int tail_ = 0;               // min(k, kRescueTailBases)
+  std::uint64_t tail_mask_ = 0;  // low 2 * tail_ bits
   // 32-bit offsets: rescue_seed_len has no validated upper bound, so probe
   // offsets (up to kMaxRescueProbes * k) must not narrow-wrap.
   std::int32_t probe_q0_[kMaxRescueProbes];
-  std::uint64_t probe_hash_[kMaxRescueProbes];
-  std::int16_t probe_next_[kMaxRescueProbes];   // hash-slot chains, ascending
+  std::uint64_t probe_code_[kMaxRescueProbes];  // tail codes
+  std::int16_t probe_next_[kMaxRescueProbes];   // slot chains, ascending
   std::int16_t slot_head_[1 << kMaxRescueHashBits];
+  std::uint64_t filter_[(1 << kFilterBits) / 64];
 };
 
 }  // namespace mem2::pair

@@ -3,25 +3,72 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <type_traits>
 
 #include "util/rng.h"
 
 namespace mem2::seq {
 
-void PackedSequence::extract(std::size_t begin, std::size_t end, Code* out) const {
+namespace {
+
+/// Byte b's four codes as one word each way: ascending (the byte's bases in
+/// coordinate order) and descending (reversed), ready for a 4-byte store.
+struct UnpackTables {
+  std::array<std::uint32_t, 256> asc, desc;
+  UnpackTables() {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      std::uint8_t fwd[4], rev[4];
+      for (int k = 0; k < 4; ++k) {
+        fwd[k] = static_cast<std::uint8_t>((b >> (2 * k)) & 3);
+        rev[3 - k] = fwd[k];
+      }
+      std::memcpy(&asc[b], fwd, 4);
+      std::memcpy(&desc[b], rev, 4);
+    }
+  }
+};
+
+const UnpackTables kUnpack;
+
+/// XOR mask that complements four 2-bit codes packed one per byte.
+constexpr std::uint32_t kComplement4 = 0x03030303u;
+
+}  // namespace
+
+void PackedSequence::unpack(std::size_t begin, std::size_t end, bool complement,
+                            Code* asc, Code* desc) const {
   MEM2_REQUIRE(begin <= end && end <= size_, "PackedSequence::extract out of range");
-  // Whole bytes unpack four codes at a time through a 256-entry table.
-  static const auto kUnpack = [] {
-    std::array<std::array<Code, 4>, 256> t{};
-    for (int b = 0; b < 256; ++b)
-      for (int k = 0; k < 4; ++k) t[b][k] = static_cast<Code>((b >> (2 * k)) & 3);
-    return t;
-  }();
+  const std::size_t n = end - begin;
+  const std::uint32_t flip = complement ? kComplement4 : 0;
+  const auto one = [&](std::size_t i) {
+    const Code c = static_cast<Code>((*this)[i] ^ (flip & 3));
+    if (asc) asc[i - begin] = c;
+    if (desc) desc[n - 1 - (i - begin)] = c;
+  };
   std::size_t i = begin;
-  for (; i < end && (i & 3); ++i) *out++ = (*this)[i];
-  for (; i + 4 <= end; i += 4, out += 4)
-    std::memcpy(out, kUnpack[data_[i >> 2]].data(), 4);
-  for (; i < end; ++i) *out++ = (*this)[i];
+  for (; i < end && (i & 3); ++i) one(i);
+  // Whole bytes: one lookup per output per four bases.
+  const auto bytes = [&](auto want_asc, auto want_desc) {
+    for (; i + 4 <= end; i += 4) {
+      const std::uint8_t b = data_[i >> 2];
+      const std::size_t o = i - begin;
+      if constexpr (want_asc) {
+        const std::uint32_t w = kUnpack.asc[b] ^ flip;
+        std::memcpy(asc + o, &w, 4);
+      }
+      if constexpr (want_desc) {
+        const std::uint32_t w = kUnpack.desc[b] ^ flip;
+        std::memcpy(desc + (n - 4 - o), &w, 4);
+      }
+    }
+  };
+  if (asc && desc)
+    bytes(std::true_type{}, std::true_type{});
+  else if (asc)
+    bytes(std::true_type{}, std::false_type{});
+  else if (desc)
+    bytes(std::false_type{}, std::true_type{});
+  for (; i < end; ++i) one(i);
 }
 
 std::vector<Code> PackedSequence::extract(std::size_t begin, std::size_t end) const {

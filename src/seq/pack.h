@@ -49,8 +49,17 @@ class PackedSequence {
   }
 
   /// Copy [begin, end) into `out` (must have end-begin capacity).
-  void extract(std::size_t begin, std::size_t end, Code* out) const;
+  void extract(std::size_t begin, std::size_t end, Code* out) const {
+    unpack(begin, end, false, out, nullptr);
+  }
   std::vector<Code> extract(std::size_t begin, std::size_t end) const;
+
+  /// One pass over [begin, end), n = end - begin, four codes per table
+  /// lookup: asc[i] = code(begin + i) and desc[n - 1 - i] = code(begin + i),
+  /// each complemented when `complement` is set.  Either output may be
+  /// null; a non-null one needs n codes of room.
+  void unpack(std::size_t begin, std::size_t end, bool complement, Code* asc,
+              Code* desc) const;
 
  private:
   std::vector<std::uint8_t> data_;

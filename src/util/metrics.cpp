@@ -167,6 +167,8 @@ const std::vector<SwCounterField>& sw_counter_fields() {
       {"bsw_cells_total", &SwCounters::bsw_cells_total},
       {"bsw_cells_useful", &SwCounters::bsw_cells_useful},
       {"bsw_aborted_pairs", &SwCounters::bsw_aborted_pairs},
+      {"cigar_gapless", &SwCounters::cigar_gapless},
+      {"cigar_dp_cells", &SwCounters::cigar_dp_cells},
       {"io_records_skipped", &SwCounters::io_records_skipped},
       {"pe_rescue_windows", &SwCounters::pe_rescue_windows},
       {"pe_rescue_win_skipped", &SwCounters::pe_rescue_win_skipped},

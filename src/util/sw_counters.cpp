@@ -19,6 +19,8 @@ SwCounters& SwCounters::operator-=(const SwCounters& o) {
   bsw_cells_total -= o.bsw_cells_total;
   bsw_cells_useful -= o.bsw_cells_useful;
   bsw_aborted_pairs -= o.bsw_aborted_pairs;
+  cigar_gapless -= o.cigar_gapless;
+  cigar_dp_cells -= o.cigar_dp_cells;
   io_records_skipped -= o.io_records_skipped;
   pe_rescue_windows -= o.pe_rescue_windows;
   pe_rescue_win_skipped -= o.pe_rescue_win_skipped;
@@ -45,6 +47,8 @@ SwCounters& SwCounters::operator+=(const SwCounters& o) {
   bsw_cells_total += o.bsw_cells_total;
   bsw_cells_useful += o.bsw_cells_useful;
   bsw_aborted_pairs += o.bsw_aborted_pairs;
+  cigar_gapless += o.cigar_gapless;
+  cigar_dp_cells += o.cigar_dp_cells;
   io_records_skipped += o.io_records_skipped;
   pe_rescue_windows += o.pe_rescue_windows;
   pe_rescue_win_skipped += o.pe_rescue_win_skipped;
@@ -72,6 +76,8 @@ std::string SwCounters::summary() const {
      << " bsw_cells_total=" << bsw_cells_total
      << " bsw_cells_useful=" << bsw_cells_useful
      << " bsw_aborts=" << bsw_aborted_pairs
+     << " cigar_gapless=" << cigar_gapless
+     << " cigar_dp_cells=" << cigar_dp_cells
      << " io_records_skipped=" << io_records_skipped
      << " pe_rescue_windows=" << pe_rescue_windows
      << " pe_rescue_win_skipped=" << pe_rescue_win_skipped

@@ -37,6 +37,10 @@ struct SwCounters {
   std::uint64_t bsw_cells_useful = 0;   // cells inside a live pair's band
   std::uint64_t bsw_aborted_pairs = 0;  // z-drop / zero-row early exits
 
+  // SAM CIGAR formation (align::region_to_aln)
+  std::uint64_t cigar_gapless = 0;   // regions resolved by the gapless shortcut
+  std::uint64_t cigar_dp_cells = 0;  // band cells the global DP computed
+
   // Ingest (io::FastqStream under FastqPolicy::kSkip)
   std::uint64_t io_records_skipped = 0;  // damaged FASTQ records resync-skipped
 

@@ -2,9 +2,11 @@
 // coordinate space, and pipeline behaviour on reads containing N bases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "align/driver.h"
 #include "seq/genome_sim.h"
@@ -51,6 +53,59 @@ TEST(IndexFetch, RejectsStrandCrossing) {
   const idx_t L = idx.l_pac();
   EXPECT_THROW(idx.fetch(L - 5, L + 5), mem2::invariant_error);
   EXPECT_THROW(idx.fetch(-1, 5), mem2::invariant_error);
+  // The one-pass form (bases and their reversal) fails the same way.
+  std::vector<seq::Code> out(64), rev(64);
+  EXPECT_THROW(idx.fetch(L - 5, L + 5, out.data(), rev.data()), mem2::invariant_error);
+  EXPECT_THROW(idx.fetch(-1, 5, out.data(), rev.data()), mem2::invariant_error);
+  EXPECT_THROW(idx.fetch(2 * L - 5, 2 * L + 1, out.data(), rev.data()),
+               mem2::invariant_error);
+  EXPECT_THROW(idx.fetch(20, 10, out.data(), rev.data()), mem2::invariant_error);
+}
+
+TEST(IndexFetch, OnePassWindowEqualsFetchPlusReverseCopy) {
+  // The one-pass kernel behind every chain and rescue window: bases and
+  // their reversal written together, four bases per table lookup.  It must
+  // equal fetch + std::reverse_copy (and the per-base definition) on both
+  // strands, for every begin and end alignment mod 4, at contig and strand
+  // edges.
+  seq::GenomeConfig cfg;
+  cfg.seed = 31;
+  cfg.contig_lengths = {1001, 2002, 999};
+  const auto idx = Mem2Index::build(seq::simulate_genome(cfg));
+  const idx_t L = idx.l_pac();
+  const auto per_base = [&](idx_t p) {
+    return p < L ? idx.ref().base(p) : seq::complement(idx.ref().base(2 * L - 1 - p));
+  };
+  std::vector<idx_t> starts;
+  for (const auto& c : idx.ref().contigs())
+    for (const idx_t edge : {c.offset, c.offset + c.length})
+      for (const idx_t at : {edge, 2 * L - edge})
+        for (idx_t d = -8; d <= 8; ++d) starts.push_back(at + d);
+  for (const idx_t at : {idx_t{0}, L, 2 * L})
+    for (idx_t d = -604; d <= 8; d += 1 + (d < -12 ? 297 : 0)) starts.push_back(at + d);
+  std::vector<seq::Code> out(700), rev(700);
+  int checked = 0;
+  for (const idx_t b : starts)
+    for (const int len : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 600, 601, 602, 603}) {
+      const idx_t e = b + len;
+      if (b < 0 || e > 2 * L || (b < L && e > L)) continue;  // invalid requests
+      const auto want = idx.fetch(b, e);
+      std::vector<seq::Code> want_rev(want.size());
+      std::reverse_copy(want.begin(), want.end(), want_rev.begin());
+      std::fill(out.begin(), out.end(), 9);
+      std::fill(rev.begin(), rev.end(), 9);
+      idx.fetch(b, e, out.data(), rev.data());
+      const auto n = static_cast<std::ptrdiff_t>(len);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin())) << b << ".." << e;
+      ASSERT_TRUE(std::equal(want_rev.begin(), want_rev.end(), rev.begin())) << b << ".." << e;
+      // Nothing past the window is written.
+      ASSERT_EQ(out[static_cast<std::size_t>(n)], 9) << b << ".." << e;
+      ASSERT_EQ(rev[static_cast<std::size_t>(n)], 9) << b << ".." << e;
+      for (idx_t p = b; p < e; ++p)
+        ASSERT_EQ(want[static_cast<std::size_t>(p - b)], per_base(p)) << b << ".." << e;
+      ++checked;
+    }
+  EXPECT_GT(checked, 1000);
 }
 
 TEST(IndexFetch, DoubledTextContainsBothStrandsOfEveryWindow) {

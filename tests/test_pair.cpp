@@ -3,13 +3,16 @@
 // BSW-powered mate rescue path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "align/aligner.h"
 #include "pair/insert_stats.h"
 #include "pair/mate_rescue.h"
 #include "seq/genome_sim.h"
 #include "seq/read_sim.h"
+#include "util/rng.h"
 
 namespace mem2 {
 namespace {
@@ -139,6 +142,61 @@ TEST(InsertStats, InferDirClassesAreConsistent) {
   // Same strand: FF.
   EXPECT_EQ(pair::infer_dir(l_pac, 1000, 1400, &dist), 0);
   EXPECT_EQ(dist, 400);
+}
+
+TEST(MateRescue, SatisfiedDirsMatchesInferDirLoop) {
+  // The rescue harvest's skip test: binary searches over the mate's sorted
+  // region starts must set exactly the classes bwa's loop over
+  // (anchor, mate region) infer_dir pairs sets, on both strands, at the
+  // strand edges and at the [low, high] boundaries.
+  util::Xoshiro256ss rng(1812);
+  const idx_t l_pac = 5000;
+  int skipped = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    pair::InsertStats pes;
+    for (auto& d : pes.dir) {
+      d.failed = rng.chance(0.25);
+      d.low = static_cast<int>(rng.below(300)) - 20;  // some low <= 0
+      d.high = d.low + static_cast<int>(rng.below(500)) - 30;  // some empty
+    }
+    const auto pick = [&] {
+      // Cluster near the strand boundary and both ends now and then.
+      switch (rng.below(4)) {
+        case 0: return static_cast<idx_t>(rng.below(static_cast<std::uint64_t>(2 * l_pac)));
+        case 1: return l_pac - 400 + static_cast<idx_t>(rng.below(800));
+        case 2: return static_cast<idx_t>(rng.below(400));
+        default: return 2 * l_pac - 1 - static_cast<idx_t>(rng.below(400));
+      }
+    };
+    std::vector<idx_t> mate_rb;
+    const int n_mate = static_cast<int>(rng.below(6));
+    const idx_t b1 = pick();
+    for (int m = 0; m < n_mate; ++m) {
+      // Some mates exactly at the range boundaries of some class.
+      idx_t rb = pick();
+      if (rng.chance(0.3)) {
+        const auto& d = pes.dir[rng.below(4)];
+        const idx_t off = rng.chance(0.5) ? d.low : d.high;
+        rb = std::clamp<idx_t>(rng.chance(0.5) ? b1 + off : 2 * l_pac - 1 - b1 - off,
+                               0, 2 * l_pac - 1);
+      }
+      mate_rb.push_back(rb);
+    }
+    bool want[4], got[4];
+    for (int d = 0; d < 4; ++d) want[d] = got[d] = pes.dir[d].failed;
+    for (const idx_t rb : mate_rb) {
+      idx_t dist = 0;
+      const int d = pair::infer_dir(l_pac, b1, rb, &dist);
+      if (dist >= pes.dir[d].low && dist <= pes.dir[d].high) want[d] = true;
+    }
+    std::sort(mate_rb.begin(), mate_rb.end());
+    pair::satisfied_dirs(l_pac, b1, mate_rb, pes, got);
+    for (int d = 0; d < 4; ++d) {
+      ASSERT_EQ(got[d], want[d]) << "iter " << iter << " dir " << d << " b1 " << b1;
+      skipped += want[d] && !pes.dir[d].failed;
+    }
+  }
+  EXPECT_GT(skipped, 300);  // the ranges are actually hit
 }
 
 // ------------------------------------------------------------- alignment

@@ -1,18 +1,33 @@
-// Rolling-hash rescue scan (pair/rescue_scan.h): RescueScanner must emit
+// Filtered 2-bit rescue scan (pair/rescue_scan.h): RescueScanner must emit
 // exactly the anchor set of the reference nested memcmp scan — same
 // anchors, same order, same first-per-diagonal and max_anchors saturation
 // behavior, same exact-run annotations — for any k, table size, ambiguous
 // bases, window edges and probe-cap saturation.
+//
+// The randomized oracle runs kCases seeded cases; a failure names its case
+// seed, and `test_rescue_scan --seed=N` replays exactly that case.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pair/rescue_scan.h"
 #include "util/rng.h"
 
 namespace mem2::pair {
+namespace oracle_seed {
+// Set by --seed=N: run only that case.
+std::uint64_t g_replay = 0;
+bool g_have_replay = false;
+}  // namespace oracle_seed
+
 namespace {
+
+constexpr std::uint64_t kBaseSeed = 20260727;
+constexpr int kCases = 500;
 
 std::vector<seq::Code> random_codes(util::Xoshiro256ss& rng, int len,
                                     double n_prob) {
@@ -32,9 +47,9 @@ std::vector<RescueAnchor> reference(std::span<const seq::Code> seq,
   return out;
 }
 
-std::vector<RescueAnchor> rolling(std::span<const seq::Code> seq,
-                                  std::span<const seq::Code> win, int k,
-                                  int max_anchors, int hash_bits) {
+std::vector<RescueAnchor> filtered(std::span<const seq::Code> seq,
+                                   std::span<const seq::Code> win, int k,
+                                   int max_anchors, int hash_bits) {
   RescueScanner scanner;
   scanner.build(seq, k, hash_bits);
   std::vector<RescueAnchor> out(kMaxRescueAnchors);
@@ -47,7 +62,7 @@ void expect_same(std::span<const seq::Code> seq, std::span<const seq::Code> win,
                  int k, int max_anchors, int hash_bits,
                  const std::string& what) {
   const auto ref = reference(seq, win, k, max_anchors);
-  const auto got = rolling(seq, win, k, max_anchors, hash_bits);
+  const auto got = filtered(seq, win, k, max_anchors, hash_bits);
   ASSERT_EQ(got.size(), ref.size()) << what;
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(got[i].qbeg, ref[i].qbeg) << what << " anchor " << i;
@@ -57,38 +72,108 @@ void expect_same(std::span<const seq::Code> seq, std::span<const seq::Code> win,
   }
 }
 
-TEST(RescueScan, MatchesReferenceOnRandomInputs) {
-  util::Xoshiro256ss rng(20260727);
-  int windows_with_anchors = 0;
-  for (int iter = 0; iter < 400; ++iter) {
-    const int k = 4 + static_cast<int>(rng.below(14));          // 4..17
-    const int l_seq = static_cast<int>(rng.below(180));         // 0..179
-    const int l_win = static_cast<int>(rng.below(500));         // 0..499
-    const double n_prob = iter % 3 == 0 ? 0.05 : 0.0;
-    const int max_anchors = 1 + static_cast<int>(rng.below(kMaxRescueAnchors));
-    const int hash_bits = 1 + static_cast<int>(rng.below(kMaxRescueHashBits));
-    auto seq = random_codes(rng, l_seq, n_prob);
-    auto win = random_codes(rng, l_win, n_prob);
-    // Plant mate fragments in the window so anchors actually occur: copy a
-    // few random substrings of seq to random window offsets.
-    for (int plant = 0; plant < 3 && l_seq >= k && l_win >= k; ++plant) {
-      const int frag = k + static_cast<int>(rng.below(
-                               static_cast<std::uint64_t>(l_seq - k + 1)));
-      const int from = static_cast<int>(rng.below(
-          static_cast<std::uint64_t>(l_seq - frag + 1)));
-      if (frag > l_win) continue;
-      const int to = static_cast<int>(rng.below(
-          static_cast<std::uint64_t>(l_win - frag + 1)));
-      std::copy(seq.begin() + from, seq.begin() + from + frag,
-                win.begin() + to);
-    }
-    const auto ref = reference(seq, win, k, max_anchors);
-    windows_with_anchors += !ref.empty();
-    expect_same(seq, win, k, max_anchors, hash_bits,
-                "iter " + std::to_string(iter) + " k=" + std::to_string(k));
+/// Runs body(seed) for every case seed (or only the --seed replay), with
+/// the seed attached to any failure.
+template <class Body>
+void for_each_case(Body&& body) {
+  const auto one = [&](std::uint64_t seed) {
+    SCOPED_TRACE("replay with: test_rescue_scan --seed=" + std::to_string(seed));
+    body(seed);
+  };
+  if (oracle_seed::g_have_replay) {
+    one(oracle_seed::g_replay);
+    return;
   }
+  for (int c = 0; c < kCases && !::testing::Test::HasFailure(); ++c)
+    one(kBaseSeed + static_cast<std::uint64_t>(c));
+}
+
+/// What one randomized case planted, for the non-vacuity checks.
+struct CaseStats {
+  bool anchored = false;  // the reference found at least one anchor
+  int tail_only = 0;      // planted probes whose head was broken
+};
+
+/// One randomized case: k in 4..40 (so k = 32, 33 and 40 exercise the
+/// 2-bit tail code's full width and the memcmp of longer probes), windows
+/// with N bases, planted mate fragments, and for k > 32 planted probes that
+/// match only in their last kRescueTailBases bases — the filter and the
+/// tail compare accept them and the memcmp must reject them.  Every
+/// hash_bits value runs on the same inputs.
+CaseStats run_case(std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  CaseStats st;
+  const int k = 4 + static_cast<int>(rng.below(37));           // 4..40
+  const int l_seq = static_cast<int>(rng.below(200));          // 0..199
+  const int l_win = static_cast<int>(rng.below(500));          // 0..499
+  const double n_prob = seed % 3 == 0 ? 0.05 : 0.0;
+  const int max_anchors = 1 + static_cast<int>(rng.below(kMaxRescueAnchors));
+  auto seq = random_codes(rng, l_seq, n_prob);
+  auto win = random_codes(rng, l_win, seed % 2 == 0 ? 0.02 : n_prob);
+  // Plant mate fragments in the window so anchors actually occur: copy a
+  // few random substrings of seq to random window offsets.
+  for (int plant = 0; plant < 3 && l_seq >= k && l_win >= k; ++plant) {
+    const int frag = k + static_cast<int>(rng.below(
+                             static_cast<std::uint64_t>(l_seq - k + 1)));
+    const int from = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(l_seq - frag + 1)));
+    if (frag > l_win) continue;
+    const int to = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(l_win - frag + 1)));
+    std::copy(seq.begin() + from, seq.begin() + from + frag,
+              win.begin() + to);
+  }
+  // Tail-only matches: a whole probe copied in, then one base of its head
+  // (the part the tail code does not cover) changed.
+  const int n_probe_slots = k > 0 ? l_seq / k : 0;
+  for (int plant = 0; plant < 2 && k > kRescueTailBases && n_probe_slots > 0 &&
+                      l_win >= k;
+       ++plant) {
+    const int q0 = k * static_cast<int>(rng.below(static_cast<std::uint64_t>(n_probe_slots)));
+    const int to = static_cast<int>(rng.below(static_cast<std::uint64_t>(l_win - k + 1)));
+    std::copy(seq.begin() + q0, seq.begin() + q0 + k, win.begin() + to);
+    const int head = static_cast<int>(rng.below(static_cast<std::uint64_t>(k - kRescueTailBases)));
+    seq::Code& b = win[static_cast<std::size_t>(to + head)];
+    b = static_cast<seq::Code>((b + 1 + rng.below(3)) & 3);
+    ++st.tail_only;
+  }
+  st.anchored = !reference(seq, win, k, max_anchors).empty();
+  for (int bits = 1; bits <= kMaxRescueHashBits; ++bits)
+    expect_same(seq, win, k, max_anchors, bits,
+                "k=" + std::to_string(k) + " bits=" + std::to_string(bits));
+  return st;
+}
+
+TEST(RescueScan, MatchesReferenceOnRandomInputs) {
+  int with_anchors = 0, tail_only = 0;
+  for_each_case([&](std::uint64_t seed) {
+    const CaseStats st = run_case(seed);
+    with_anchors += st.anchored;
+    tail_only += st.tail_only;
+  });
+  if (oracle_seed::g_have_replay) return;
   // The planting must make the comparison non-vacuous.
-  EXPECT_GT(windows_with_anchors, 100);
+  EXPECT_GT(with_anchors, kCases / 4);
+  EXPECT_GT(tail_only, kCases / 10);
+}
+
+TEST(RescueScan, TailOnlyMatchIsRejected) {
+  // k = 40: a window holding a probe whose last 32 bases match but whose
+  // first base does not must yield no anchor there, at every table size.
+  util::Xoshiro256ss rng(33);
+  const int k = 40;
+  auto seq = random_codes(rng, 2 * k, 0.0);
+  std::vector<seq::Code> win(200, seq::kAmbig);
+  std::copy(seq.begin() + k, seq.begin() + 2 * k, win.begin() + 50);
+  win[50] = static_cast<seq::Code>((win[50] + 1) & 3);
+  // And an exact copy of probe 0 further on, which must anchor.
+  std::copy(seq.begin(), seq.begin() + k, win.begin() + 120);
+  const auto ref = reference(seq, win, k, kMaxRescueAnchors);
+  ASSERT_EQ(ref.size(), 1u);
+  EXPECT_EQ(ref[0].tbeg, 120);
+  for (int bits = 1; bits <= kMaxRescueHashBits; ++bits)
+    expect_same(seq, win, k, kMaxRescueAnchors, bits,
+                "tail-only bits=" + std::to_string(bits));
 }
 
 TEST(RescueScan, AnchorsAtWindowEdges) {
@@ -229,15 +314,39 @@ TEST(RescueScan, DegenerateInputs) {
 
 TEST(RescueScan, FingerprintDistinguishesContent) {
   util::Xoshiro256ss rng(8);
-  auto a = random_codes(rng, 200, 0.0);
-  auto b = a;
-  EXPECT_EQ(window_fingerprint(a), window_fingerprint(b));
-  b[100] = static_cast<seq::Code>((b[100] + 1) & 3);
-  EXPECT_NE(window_fingerprint(a), window_fingerprint(b));
-  // Length participates: a prefix is not the same fingerprint.
-  std::vector<seq::Code> prefix(a.begin(), a.end() - 1);
-  EXPECT_NE(window_fingerprint(a), window_fingerprint(prefix));
+  for (const int len : {0, 1, 7, 8, 9, 200, 203}) {
+    auto a = random_codes(rng, len, 0.0);
+    auto b = a;
+    EXPECT_EQ(window_fingerprint(a), window_fingerprint(b)) << "len " << len;
+    // One changed base, in a whole 8-code word or in the tail, changes it.
+    for (int at = 0; at < len; at += 3) {
+      b[static_cast<std::size_t>(at)] =
+          static_cast<seq::Code>((b[static_cast<std::size_t>(at)] + 1) & 3);
+      EXPECT_NE(window_fingerprint(a), window_fingerprint(b))
+          << "len " << len << " at " << at;
+      b = a;
+    }
+    // Length participates: a prefix is not the same fingerprint.
+    if (len > 0) {
+      std::vector<seq::Code> prefix(a.begin(), a.end() - 1);
+      EXPECT_NE(window_fingerprint(a), window_fingerprint(prefix)) << "len " << len;
+    }
+  }
 }
 
 }  // namespace
 }  // namespace mem2::pair
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg.rfind("--seed=", 0) == 0) {
+      mem2::pair::oracle_seed::g_replay = std::strtoull(argv[i] + 7, nullptr, 0);
+      mem2::pair::oracle_seed::g_have_replay = true;
+      std::printf("replaying case seed %llu\n",
+                  static_cast<unsigned long long>(mem2::pair::oracle_seed::g_replay));
+    }
+  }
+  return RUN_ALL_TESTS();
+}
