@@ -399,13 +399,9 @@ MetricsSnapshot service_snapshot(const serve::ServiceMetrics& m, double wall) {
   return {m.merged, m.counters, m.reads, wall, &m};
 }
 
-/// Registry id for the snapshot counter — the one CLI-owned metric that
-/// rides through MetricsRegistry exposition rather than PromWriter.
-int snapshot_counter_id() {
-  static const int id = util::MetricsRegistry::global().counter(
-      "mem2_metrics_snapshots_total", "Prometheus snapshot files written");
-  return id;
-}
+/// Snapshot files written by this process.  Atomic: write_metrics runs on
+/// the main thread and on serve's --metrics-interval timer thread.
+std::atomic<std::uint64_t> g_metrics_snapshots{0};
 
 void count(util::PromWriter& w, std::string_view name, std::string_view help,
            std::uint64_t n) {
@@ -415,12 +411,12 @@ void count(util::PromWriter& w, std::string_view name, std::string_view help,
 /// The one Prometheus writer: the stream families, the full SwCounters
 /// table, per-span-name tracer aggregates (empty unless --trace enabled
 /// it), ring-drop accounting, hardware counters when the container allows
-/// perfevent_open, the service families, then the registry-managed
-/// metrics.  `path` is rewritten atomically (tmp + rename), so a reader
+/// perfevent_open, the service families, then the snapshot count.
+/// `path` is rewritten atomically (tmp + rename), so a reader
 /// never sees a torn file; failure warns on stderr.
 bool write_metrics(const std::string& path, const MetricsSnapshot& s,
                    const util::PerfSample* hw) {
-  util::MetricsRegistry::global().add(snapshot_counter_id());
+  const std::uint64_t snapshots = ++g_metrics_snapshots;
   const std::string tmp = path + ".tmp";
   std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
   {
@@ -495,8 +491,9 @@ bool write_metrics(const std::string& path, const MetricsSnapshot& s,
       w.histogram("mem2_admission_wait_seconds",
                   "Admission queue wait per queued open", sm->admission_wait);
     }
+    count(w, "mem2_metrics_snapshots_total", "Prometheus snapshot files written",
+          snapshots);
   }
-  util::MetricsRegistry::global().write_prometheus(os);
   os.close();
   if (os && std::rename(tmp.c_str(), path.c_str()) == 0) return true;
   std::cerr << "[mem2] warning: cannot write metrics file " << path << '\n';

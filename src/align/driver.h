@@ -50,8 +50,8 @@ struct DriverOptions {
   int threads = 1;
   int batch_size = 512;  // reads per batch (batch mode)
   /// In-flight FM-index walks per thread in the seeding stage (batch mode):
-  /// the SmemExecutor runs this many reads' SMEM state machines in lockstep
-  /// so one walk's Occ-line misses overlap useful work on the others
+  /// the SmemExecutor runs this many lanes, one coroutine per lane, round-
+  /// robin so one walk's Occ-line misses overlap useful work on the others
   /// (paper §4.3).  1 degenerates to the scalar walk order; output is
   /// invariant across values (tests/test_smem_executor.cpp).
   int smem_inflight = 8;

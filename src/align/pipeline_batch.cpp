@@ -44,6 +44,7 @@
 #include "align/driver.h"
 #include "align/sam_format.h"
 #include "bsw/bsw_executor.h"
+#include "chain/chain.h"
 #include "pair/mate_rescue.h"
 #include "pair/pairing.h"
 #include "smem/smem_executor.h"
@@ -374,8 +375,8 @@ void batch_regions(const index::Mem2Index& index, std::span<const seq::Read> rea
       for (int i = 0; i < nb; ++i) {
         guard.run([&] {
           ReadState& rs = states[static_cast<std::size_t>(i)];
-          smem_executors[static_cast<std::size_t>(tid)].gather_seeds(
-              rs.smems, options.mem.chaining, index.flat_sa(), rs.seeds);
+          chain::seeds_from_smems_batched(rs.smems, options.mem.chaining,
+                                          index.flat_sa(), rs.seeds);
         });
       }
     }

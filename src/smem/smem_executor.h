@@ -9,34 +9,37 @@
 // independent* walks in flight: while one read's Occ lines are on their way
 // from memory, the CPU does useful work on the other reads.
 //
-// SmemExecutor implements that discipline without changing the algorithm:
-// the three-round seeding of collect_smems() (smem_search.h / seeding_impl.h)
-// is refactored into a resumable per-read state machine (Lane) whose unit of
-// progress is exactly one Occ-touching extension.  K lanes (DriverOptions::
-// smem_inflight, default 8) run in lockstep:
+// SmemExecutor runs one C++20 coroutine per lane (K = DriverOptions::
+// smem_inflight, default 8).  Each lane takes reads from a cursor shared by
+// all lanes and runs collect_smems()' three rounds on them, with the
+// smem1()/seed_strategy1() bodies written out in line.  Wherever the next
+// step touches Occ lines whose addresses are already known, the lane issues
+// their prefetches and suspends:
 //
-//   for each in-flight lane:  perform its pending extension  (consume)
-//                             advance pure-CPU control to the next one
-//                             prefetch that extension's Occ lines (issue)
+//   before each forward extension (rounds 1-2 and round 3): the next
+//     extension depends on the previous one, so the walk parks one
+//     extension at a time;
+//   before each backward row whose base is unambiguous: all of a row's
+//     extensions are addressable the moment the row starts, so the row is
+//     consumed as one step and only the row-to-row dependency pays a
+//     rotation.
 //
-// so every prefetch has K-1 other extensions' worth of work to complete
-// before its lane comes around again.  Reads are independent, the per-read
-// state machine replays the scalar control flow verbatim, and lanes refill
-// from the query list as reads finish — output is bit-identical to
-// collect_smems() for any K and any interleaving (tests/test_smem_executor).
-//
-// The SAL leg gets the same treatment at lower dependency depth: sampled BW
-// rows are materialized first, then resolved against the flat SA with a wave
-// of prefetches running ahead of the loads (chain::seeds_from_smems_batched);
-// gather_seeds() exposes it here so the pipeline drives both seeding stages
-// through one executor.
+// collect() resumes the live lanes round-robin, so every prefetch has K-1
+// other lanes' steps to complete before its lane runs again.  The step
+// bodies themselves are the plain inline helpers below; the coroutine holds
+// only control flow.  Reads are independent and each lane replays the
+// scalar control flow verbatim, so the output (and every extension and
+// bucket-load counter) equals collect_smems() for any K and interleaving
+// (tests/test_smem_executor).
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
+#include <exception>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "chain/chain.h"
 #include "smem/seeding.h"
 
 namespace mem2::smem {
@@ -62,434 +65,293 @@ class SmemExecutor {
   /// Collect SMEMs for every query, interleaving up to inflight() reads.
   /// Each queries[i].out receives exactly what
   /// collect_smems(fm, queries[i].query, opt, ...) would have produced.
+  /// If the index throws, the exception leaves collect() after every lane's
+  /// coroutine has been destroyed.
   template <class Fm>
   void collect(const Fm& fm, std::span<const QueryRef> queries,
                const SeedingOptions& opt, const util::PrefetchPolicy& pf);
 
-  /// SAL leg: batched seed gather for one read's SMEMs over the flat SA
-  /// (wave-prefetched).  static — SAL's dependency depth is one load, so it
-  /// needs no lanes, only the wave discipline of
-  /// chain::seeds_from_smems_batched; the method exists so the pipeline
-  /// drives both seeding stages through one front door.
-  static void gather_seeds(std::span<const Smem> smems,
-                           const chain::ChainOptions& opt,
-                           const index::FlatSA& sa,
-                           std::vector<chain::Seed>& out) {
-    chain::seeds_from_smems_batched(smems, opt, sa, out);
-  }
+  /// Coroutine frames currently alive (0 whenever collect() is not running).
+  int live_walks() const { return live_walks_; }
 
  private:
-  /// Resumable per-read seeding task.  Pc is a program counter over the
-  /// scalar control flow of collect_smems: the kFwdExt/kBwdRow/kSeedExt
-  /// states denote pending Occ-touching work (step() performs it); every
-  /// other state is pure CPU and is executed to exhaustion by pump().
-  /// Granularity follows the dependency structure: forward and greedy-seed
-  /// extensions are a serially dependent chain, so they park one extension
-  /// at a time; a backward row's extensions are all addressable the moment
-  /// the row starts (prev is fixed), so the whole row is prefetched at the
-  /// transition and consumed as one step — only the row-to-row dependency
-  /// pays a rotation.  Prefetches fire exactly at the state transitions, so
-  /// each one has a full rotation of other lanes' work to complete.
-  /// Interval state is backend-independent, so Lane itself is not a
-  /// template — only the methods that touch the index are.
-  struct Lane {
-    enum class Pc : std::uint8_t {
-      kScan1,       // round-1 scan for the next smem1 start
-      kFwdHead,     // decide whether position fi extends forward
-      kFwdExt,      // pending forward_ext of ik at fi          (memory)
-      kBwdRowHead,  // enter backward row bi (prefetches the row)
-      kBwdRow,      // pending backward_exts of all of prev     (memory)
-      kDeliver1,    // smem1 done: filter into out, resume round 1
-      kScan2,       // round-2 candidate scan
-      kDeliver2,    // smem1 done: filter into out, resume round 2
-      kScan3,       // round-3 scan for the next seed_strategy1 start
-      kSeedHead,    // decide whether position fi extends the greedy seed
-      kSeedExt,     // pending forward_ext of sik at fi         (memory)
-      kDeliver3,    // seed_strategy1 done: push hit, resume round 3
-      kFinish,      // sort the read's output
-      kDone
-    };
-
-    std::span<const seq::Code> q;
-    std::vector<Smem>* out = nullptr;
-    int len = 0;
-    Pc pc = Pc::kDone;
-    bool pf = true;  // issue software prefetches at op transitions
-
-    // collect-level cursors
-    int x = 0;            // round-1/3 scan position
-    std::size_t k2 = 0;   // round-2 candidate index
-    std::size_t old_n = 0;
-    int split_len = 0;
-
-    // smem1 state (ws.mem1 is the per-call smem1 output, as in the scalar
-    // path; curr/prev are the forward/backward candidate stacks)
-    SmemWorkspace ws;
-    SmemWorkspace::Entry ik;
-    idx_t min_intv = 1;
-    int sx = 0;  // smem1 / seed_strategy1 start position
-    int fi = 0;  // forward cursor
-    int bi = 0;  // backward row
-    int bc = -1;         // backward row base (-1: ambiguous / off the end)
-    int ret = 0;         // smem1's next-scan-position return value
-    Pc deliver = Pc::kDeliver1;  // which round consumes this smem1's output
-
-    // seed_strategy1 state
-    index::BiInterval sik;
-    Smem hit;
-
-    bool done() const { return pc == Pc::kDone; }
-
-    template <class Fm>
-    void start(const Fm& fm, const QueryRef& qr, const SeedingOptions& opt,
-               bool prefetch);
-    /// Perform the pending Occ-touching work, then advance to the next (or
-    /// done), issuing its prefetches on the way out.
-    template <class Fm>
-    void step(const Fm& fm, const SeedingOptions& opt);
-
-   private:
-    template <class Fm>
-    void pump(const Fm& fm, const SeedingOptions& opt);
-    template <class Fm>
-    void begin_smem1(const Fm& fm, int x0, idx_t mi, Pc deliver_to);
-    void finish_forward();
-    Pc deliver_pc();
-    void emit_if_new(const SmemWorkspace::Entry& p);
+  /// What every lane of one collect() call shares.
+  template <class Fm>
+  struct Cursor {
+    const Fm& fm;
+    std::span<const QueryRef> queries;
+    const SeedingOptions& opt;
+    bool pf;
+    std::size_t next = 0;  // first query no lane has taken yet
   };
 
+  /// Owning handle of one lane's coroutine; destroying it destroys the frame.
+  class Walk {
+   public:
+    struct promise_type {
+      int* live;
+      std::exception_ptr error;
+
+      template <class... Args>
+      explicit promise_type(SmemExecutor& ex, Args&&...) : live(&ex.live_walks_) {
+        ++*live;
+      }
+      ~promise_type() { --*live; }
+      Walk get_return_object() {
+        return Walk(std::coroutine_handle<promise_type>::from_promise(*this));
+      }
+      std::suspend_always initial_suspend() noexcept { return {}; }
+      std::suspend_always final_suspend() noexcept { return {}; }
+      void return_void() noexcept {}
+      void unhandled_exception() noexcept { error = std::current_exception(); }
+    };
+
+    Walk() = default;
+    Walk(Walk&& o) noexcept : h_(std::exchange(o.h_, {})) {}
+    Walk& operator=(Walk&& o) noexcept {
+      std::swap(h_, o.h_);
+      return *this;
+    }
+    ~Walk() {
+      if (h_) h_.destroy();
+    }
+
+    /// Run to the next park point; false once the lane has no reads left.
+    /// Rethrows whatever the walk threw.
+    bool resume() {
+      h_.resume();
+      if (!h_.done()) return true;
+      if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+      return false;
+    }
+
+   private:
+    explicit Walk(std::coroutine_handle<promise_type> h) : h_(h) {}
+    std::coroutine_handle<promise_type> h_;
+  };
+
+  template <class Fm>
+  Walk walk(Cursor<Fm>& cur, SmemWorkspace& ws);
+
   int inflight_ = kDefaultInflight;
-  std::vector<Lane> lanes_;
+  int live_walks_ = 0;
+  std::vector<SmemWorkspace> ws_;  // one per lane, reused across calls
 };
 
-// ---------------------------------------------------------------- Lane impl
+// ------------------------------------------------------------- step bodies
 
-inline void SmemExecutor::Lane::emit_if_new(const SmemWorkspace::Entry& p) {
-  // The "curr empty" test passed; an SMEM is born unless a previously
-  // emitted one already covers position bi+1 (Algorithm 4's containment
-  // test: out is filled right-to-left during the backward phase).
-  if (ws.mem1.empty() || bi + 1 < ws.mem1.back().qb) {
-    ws.mem1.push_back(
-        Smem{p.bi, static_cast<std::int32_t>(bi + 1), p.qe});
-    ++util::tls_counters().smems_found;
-  }
+namespace walk_step {
+
+/// Query code at i, or -1 when i is off the left end or ambiguous.
+inline int code_at(std::span<const seq::Code> q, int i) {
+  return i < 0 || q[static_cast<std::size_t>(i)] > 3 ? -1 : q[static_cast<std::size_t>(i)];
 }
 
-inline void SmemExecutor::Lane::finish_forward() {
-  std::reverse(ws.curr.begin(), ws.curr.end());  // longest matches first
-  ret = ws.curr.front().qe;
-  std::swap(ws.curr, ws.prev);
-  bi = sx - 1;
-  pc = Pc::kBwdRowHead;
-}
-
-inline SmemExecutor::Lane::Pc SmemExecutor::Lane::deliver_pc() {
-  std::reverse(ws.mem1.begin(), ws.mem1.end());  // sort by start coordinate
-  return deliver;
-}
-
+/// smem1's forward-loop body: extend ik by base c at query position i,
+/// pushing ik as a candidate when the interval shrinks.  Returns false when
+/// the interval got too small to extend further.
 template <class Fm>
-void SmemExecutor::Lane::begin_smem1(const Fm& fm, int x0, idx_t mi,
-                                     Pc deliver_to) {
-  sx = x0;
-  min_intv = mi < 1 ? 1 : mi;
-  deliver = deliver_to;
-  ws.mem1.clear();
+inline bool forward(const Fm& fm, seq::Code c, int i, idx_t min_intv,
+                    SmemWorkspace::Entry& ik, std::vector<SmemWorkspace::Entry>& curr) {
+  index::BiInterval ok[4];
+  fm.forward_ext(ik.bi, ok);
+  if (ok[c].s != ik.bi.s) {
+    curr.push_back(ik);
+    if (ok[c].s < min_intv) return false;
+  }
+  ik.bi = ok[c];
+  ik.qe = static_cast<std::int32_t>(i + 1);
+  return true;
+}
+
+/// smem1's backward-loop body: the whole row at query position i with base
+/// c (-1: no extension possible) over the candidates in ws.prev.  Emits
+/// SMEMs into ws.mem1; returns whether any candidate survives into row i-1
+/// (ws.prev then holds them, their Occ lines already requested).
+template <class Fm>
+inline bool backward_row(const Fm& fm, int c, int i, idx_t min_intv, bool pf,
+                         SmemWorkspace& ws) {
+  auto emit_if_new = [&](const SmemWorkspace::Entry& p) {
+    // The "curr empty" test passed; an SMEM is born unless a previously
+    // emitted one already covers position i+1 (Algorithm 4's containment
+    // test: mem1 is filled right-to-left).
+    if (ws.mem1.empty() || i + 1 < ws.mem1.back().qb) {
+      ws.mem1.push_back(Smem{p.bi, static_cast<std::int32_t>(i + 1), p.qe});
+      ++util::tls_counters().smems_found;
+    }
+  };
   ws.curr.clear();
-  if (q[static_cast<std::size_t>(sx)] > 3) {  // ambiguous start: no smems
-    ret = sx + 1;
-    pc = deliver;
-    return;
+  if (c < 0) {  // every candidate takes the emit branch, curr stays empty
+    for (const auto& p : ws.prev) emit_if_new(p);
+    return false;
   }
-  ik = SmemWorkspace::Entry{fm.set_intv(q[static_cast<std::size_t>(sx)]),
-                            static_cast<std::int32_t>(sx + 1)};
-  fi = sx + 1;
-  pc = Pc::kFwdHead;
-}
-
-template <class Fm>
-void SmemExecutor::Lane::start(const Fm& fm, const QueryRef& qr,
-                               const SeedingOptions& opt, bool prefetch) {
-  q = qr.query;
-  out = qr.out;
-  len = static_cast<int>(q.size());
-  pf = prefetch;
-  out->clear();
-  split_len = static_cast<int>(
-      static_cast<double>(opt.min_seed_len) * opt.split_factor + .499);
-  x = 0;
-  pc = Pc::kScan1;
-  pump(fm, opt);
-}
-
-template <class Fm>
-void SmemExecutor::Lane::pump(const Fm& fm, const SeedingOptions& opt) {
-  for (;;) {
-    switch (pc) {
-      // --- round 1: all SMEMs of sufficient length ---
-      case Pc::kScan1:
-        if (x >= len) {
-          old_n = out->size();
-          k2 = 0;
-          pc = Pc::kScan2;
-          break;
-        }
-        if (q[static_cast<std::size_t>(x)] >= 4) {
-          ++x;
-          break;
-        }
-        begin_smem1(fm, x, /*min_intv=*/1, Pc::kDeliver1);
-        break;
-
-      case Pc::kFwdHead:
-        if (fi >= len || q[static_cast<std::size_t>(fi)] >= 4) {
-          ws.curr.push_back(ik);  // end of query / ambiguous base terminates
-          finish_forward();
-          break;
-        }
-        pc = Pc::kFwdExt;
-        if (pf) fm.prefetch_forward(ik.bi);  // the l-side rows kFwdExt reads
-        return;
-
-      case Pc::kBwdRowHead: {
-        bc = bi < 0 ? -1
-                    : (q[static_cast<std::size_t>(bi)] < 4
-                           ? q[static_cast<std::size_t>(bi)]
-                           : -1);
-        if (bc < 0) {
-          // No extension possible: every candidate takes the emit branch
-          // with curr staying empty, then the backward loop exits.
-          ws.curr.clear();
-          for (const auto& p : ws.prev)
-            if (ws.curr.empty()) emit_if_new(p);
-          pc = deliver_pc();
-          break;
-        }
-        // Every entry of the row is known now; request all their Occ lines
-        // and consume the row in one step after a rotation.
-        pc = Pc::kBwdRow;
-        if (pf)
-          for (const auto& p : ws.prev) fm.prefetch_interval(p.bi);
-        return;
-      }
-
-      case Pc::kDeliver1:
-        for (const Smem& m : ws.mem1)
-          if (m.len() >= opt.min_seed_len) out->push_back(m);
-        x = ret;
-        pc = Pc::kScan1;
-        break;
-
-      // --- round 2: re-seed long unique-ish SMEMs from their middle ---
-      case Pc::kScan2: {
-        if (k2 >= old_n) {
-          x = 0;
-          pc = opt.max_mem_intv > 0 ? Pc::kScan3 : Pc::kFinish;
-          break;
-        }
-        const Smem p = (*out)[k2];  // copy: out grows on delivery
-        if (p.len() < split_len || p.bi.s > opt.split_width) {
-          ++k2;
-          break;
-        }
-        begin_smem1(fm, (p.qb + p.qe) >> 1, p.bi.s + 1, Pc::kDeliver2);
-        break;
-      }
-
-      case Pc::kDeliver2:
-        for (const Smem& m : ws.mem1)
-          if (m.len() >= opt.min_seed_len) out->push_back(m);
-        ++k2;
-        pc = Pc::kScan2;
-        break;
-
-      // --- round 3: LAST-like greedy seeds ---
-      case Pc::kScan3:
-        if (x >= len) {
-          pc = Pc::kFinish;
-          break;
-        }
-        if (q[static_cast<std::size_t>(x)] >= 4) {
-          ++x;
-          break;
-        }
-        hit = Smem{};
-        sx = x;
-        sik = fm.set_intv(q[static_cast<std::size_t>(sx)]);
-        fi = sx + 1;
-        pc = Pc::kSeedHead;
-        break;
-
-      case Pc::kSeedHead:
-        if (fi >= len) {
-          ret = len;
-          pc = Pc::kDeliver3;
-          break;
-        }
-        if (q[static_cast<std::size_t>(fi)] >= 4) {
-          ret = fi + 1;
-          pc = Pc::kDeliver3;
-          break;
-        }
-        pc = Pc::kSeedExt;
-        if (pf) fm.prefetch_forward(sik);
-        return;
-
-      case Pc::kDeliver3:
-        if (hit.bi.s > 0) out->push_back(hit);
-        x = ret;
-        pc = Pc::kScan3;
-        break;
-
-      case Pc::kFinish:
-        std::sort(out->begin(), out->end(), smem_less);
-        pc = Pc::kDone;
-        return;
-
-      case Pc::kFwdExt:
-      case Pc::kBwdRow:
-      case Pc::kSeedExt:
-      case Pc::kDone:
-        return;
+  for (const SmemWorkspace::Entry& p : ws.prev) {
+    index::BiInterval ok[4];
+    fm.backward_ext(p.bi, ok);
+    if (ok[c].s < min_intv) {
+      // p cannot extend left: candidate SMEM if no longer match remains.
+      if (ws.curr.empty()) emit_if_new(p);
+    } else if (ws.curr.empty() || ok[c].s != ws.curr.back().bi.s) {
+      // Survives into the next row; request its Occ lines now, exactly where
+      // the scalar kernel prefetches (Algorithm 4's placement) — they get the
+      // rest of this row plus a rotation to arrive.
+      if (pf) fm.prefetch_interval(ok[c]);
+      ws.curr.push_back(SmemWorkspace::Entry{ok[c], p.qe});
     }
   }
+  if (ws.curr.empty()) return false;
+  std::swap(ws.curr, ws.prev);
+  return true;
 }
 
+/// seed_strategy1's loop body: extend ik by base c at query position i of
+/// the greedy seed starting at x.  Returns true when the seed is found.
 template <class Fm>
-void SmemExecutor::Lane::step(const Fm& fm, const SeedingOptions& opt) {
-  // The hot continuations (forward -> forward, row -> row) are inlined here
-  // so the common step costs a single dispatch; only phase changes fall
-  // through to pump().
-  switch (pc) {
-    case Pc::kFwdExt: {
-      const seq::Code base = q[static_cast<std::size_t>(fi)];
-      index::BiInterval ok[4];
-      fm.forward_ext(ik.bi, ok);
-      if (ok[base].s != ik.bi.s) {
-        ws.curr.push_back(ik);
-        if (ok[base].s < min_intv) {  // too small to extend further
-          finish_forward();
-          break;
-        }
-      }
-      ik.bi = ok[base];
-      ik.qe = static_cast<std::int32_t>(fi + 1);
-      ++fi;
-      if (fi < len && q[static_cast<std::size_t>(fi)] < 4) {
-        if (pf) fm.prefetch_forward(ik.bi);  // stay parked on kFwdExt
-        return;
-      }
-      ws.curr.push_back(ik);  // end of query / ambiguous base terminates
-      finish_forward();
-      break;
-    }
-    case Pc::kBwdRow: {
-      // The whole row: its entries' loads are independent (and were
-      // prefetched as their parent intervals were produced), so
-      // back-to-back consumption lets the core overlap them; only the
-      // row-to-row dependency costs a rotation.
-      ws.curr.clear();
-      for (const SmemWorkspace::Entry& p : ws.prev) {
-        index::BiInterval ok[4];
-        fm.backward_ext(p.bi, ok);
-        if (ok[bc].s < min_intv) {
-          // p cannot extend left: candidate SMEM if no longer match remains.
-          if (ws.curr.empty()) emit_if_new(p);
-        } else if (ws.curr.empty() || ok[bc].s != ws.curr.back().bi.s) {
-          // Survives into the next row; request its Occ lines now, exactly
-          // where the scalar kernel prefetches (Algorithm 4's placement) —
-          // they get the rest of this row plus a rotation to arrive.
-          if (pf) fm.prefetch_interval(ok[bc]);
-          ws.curr.push_back(SmemWorkspace::Entry{ok[bc], p.qe});
-        }
-      }
-      if (ws.curr.empty()) {
-        pc = deliver_pc();
-        break;
-      }
-      std::swap(ws.curr, ws.prev);
-      --bi;
-      bc = bi < 0 ? -1
-                  : (q[static_cast<std::size_t>(bi)] < 4
-                         ? q[static_cast<std::size_t>(bi)]
-                         : -1);
-      if (bc >= 0) return;  // stay parked on kBwdRow (already prefetched)
-      // Pure-CPU row: no extension possible, the backward loop exits.
-      ws.curr.clear();
-      for (const auto& p : ws.prev)
-        if (ws.curr.empty()) emit_if_new(p);
-      pc = deliver_pc();
-      break;
-    }
-    case Pc::kSeedExt: {
-      const seq::Code base = q[static_cast<std::size_t>(fi)];
-      index::BiInterval ok[4];
-      fm.forward_ext(sik, ok);
-      if (ok[base].s < opt.max_mem_intv && fi - sx >= opt.min_seed_len) {
-        hit.bi = ok[base];
-        hit.qb = static_cast<std::int32_t>(sx);
-        hit.qe = static_cast<std::int32_t>(fi + 1);
-        ++util::tls_counters().smems_found;
-        ret = fi + 1;
-        pc = Pc::kDeliver3;
-        break;
-      }
-      sik = ok[base];
-      ++fi;
-      if (fi < len && q[static_cast<std::size_t>(fi)] < 4) {
-        if (pf) fm.prefetch_forward(sik);  // stay parked on kSeedExt
-        return;
-      }
-      ret = fi >= len ? len : fi + 1;
-      pc = Pc::kDeliver3;
-      break;
-    }
-    default:
-      return;  // nothing pending
+inline bool seed(const Fm& fm, seq::Code c, int x, int i, const SeedingOptions& opt,
+                 index::BiInterval& ik, Smem& hit) {
+  index::BiInterval ok[4];
+  fm.forward_ext(ik, ok);
+  if (ok[c].s < opt.max_mem_intv && i - x >= opt.min_seed_len) {
+    hit = Smem{ok[c], static_cast<std::int32_t>(x), static_cast<std::int32_t>(i + 1)};
+    ++util::tls_counters().smems_found;
+    return true;
   }
-  pump(fm, opt);
+  ik = ok[c];
+  return false;
 }
+
+}  // namespace walk_step
 
 // ------------------------------------------------------------ executor impl
 
 template <class Fm>
+SmemExecutor::Walk SmemExecutor::walk(Cursor<Fm>& cur, SmemWorkspace& ws) {
+  using walk_step::code_at;
+  const Fm& fm = cur.fm;
+  const SeedingOptions& opt = cur.opt;
+  const bool pf = cur.pf;
+  const int split_len = static_cast<int>(
+      static_cast<double>(opt.min_seed_len) * opt.split_factor + .499);
+
+  while (cur.next < cur.queries.size()) {
+    const QueryRef qr = cur.queries[cur.next++];
+    const std::span<const seq::Code> q = qr.query;
+    std::vector<Smem>& out = *qr.out;
+    const int len = static_cast<int>(q.size());
+    out.clear();
+
+    // Rounds 1 and 2 run the same smem1 walk: round 1 from every scan
+    // position, round 2 from the middle of each long, rare round-1 SMEM.
+    std::size_t k2 = 0, old_n = 0;
+    for (int x = 0, round = 1;;) {
+      int sx = x;
+      idx_t min_intv = 1;
+      if (round == 1) {
+        while (sx < len && q[static_cast<std::size_t>(sx)] > 3) ++sx;
+        if (sx == len) {
+          round = 2;
+          old_n = out.size();
+          continue;
+        }
+      } else {
+        while (k2 < old_n &&
+               (out[k2].len() < split_len || out[k2].bi.s > opt.split_width))
+          ++k2;
+        if (k2 == old_n) break;
+        sx = (out[k2].qb + out[k2].qe) >> 1;
+        min_intv = out[k2].bi.s + 1;
+        ++k2;
+      }
+
+      // smem1(sx, min_intv) into ws.mem1.
+      ws.mem1.clear();
+      ws.curr.clear();
+      int ret = sx + 1;
+      if (code_at(q, sx) >= 0) {
+        SmemWorkspace::Entry ik{fm.set_intv(q[static_cast<std::size_t>(sx)]),
+                                static_cast<std::int32_t>(sx + 1)};
+        int i = sx + 1;
+        for (; i < len && q[static_cast<std::size_t>(i)] < 4; ++i) {
+          if (pf) fm.prefetch_forward(ik.bi);  // the l-side rows forward() reads
+          co_await std::suspend_always{};
+          if (!walk_step::forward(fm, q[static_cast<std::size_t>(i)], i, min_intv,
+                                  ik, ws.curr))
+            break;
+        }
+        if (i == len || q[static_cast<std::size_t>(i)] > 3)
+          ws.curr.push_back(ik);  // end of query / ambiguous base terminates
+        std::reverse(ws.curr.begin(), ws.curr.end());  // longest matches first
+        ret = ws.curr.front().qe;
+        std::swap(ws.curr, ws.prev);
+
+        for (i = sx - 1;; --i) {
+          const int c = code_at(q, i);
+          if (c >= 0) {
+            // Every entry of the first row is known now; later rows' entries
+            // were requested as backward_row produced them.
+            if (pf && i == sx - 1)
+              for (const auto& p : ws.prev) fm.prefetch_interval(p.bi);
+            co_await std::suspend_always{};
+          }
+          if (!walk_step::backward_row(fm, c, i, min_intv, pf, ws)) break;
+        }
+        std::reverse(ws.mem1.begin(), ws.mem1.end());  // sort by start coordinate
+      }
+      for (const Smem& m : ws.mem1)
+        if (m.len() >= opt.min_seed_len) out.push_back(m);
+      if (round == 1) x = ret;
+    }
+
+    // Round 3: LAST-like greedy seeds, seed_strategy1 from every scan position.
+    for (int x = 0; opt.max_mem_intv > 0 && x < len;) {
+      if (q[static_cast<std::size_t>(x)] > 3) {
+        ++x;
+        continue;
+      }
+      Smem hit;
+      index::BiInterval ik = fm.set_intv(q[static_cast<std::size_t>(x)]);
+      int i = x + 1;
+      for (; i < len && q[static_cast<std::size_t>(i)] < 4; ++i) {
+        if (pf) fm.prefetch_forward(ik);
+        co_await std::suspend_always{};
+        if (walk_step::seed(fm, q[static_cast<std::size_t>(i)], x, i, opt, ik, hit))
+          break;
+      }
+      if (hit.bi.s > 0) out.push_back(hit);
+      x = i == len ? len : i + 1;
+    }
+
+    std::sort(out.begin(), out.end(), smem_less);
+  }
+}
+
+template <class Fm>
 void SmemExecutor::collect(const Fm& fm, std::span<const QueryRef> queries,
-                          const SeedingOptions& opt,
-                          const util::PrefetchPolicy& pf) {
+                           const SeedingOptions& opt,
+                           const util::PrefetchPolicy& pf) {
   if (queries.empty()) return;
   const int k = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(inflight_), queries.size()));
-  if (lanes_.size() < static_cast<std::size_t>(k))
-    lanes_.resize(static_cast<std::size_t>(k));
+  if (ws_.size() < static_cast<std::size_t>(k)) ws_.resize(static_cast<std::size_t>(k));
 
-  std::size_t next = 0;
-  // Pull reads into a lane until one parks on a pending extension; reads
-  // whose whole walk is pure CPU (empty/ambiguous/one-base) drain inline.
-  auto feed = [&](Lane& lane) {
-    while (next < queries.size()) {
-      lane.start(fm, queries[next++], opt, pf.enabled);
-      if (!lane.done()) return true;
-    }
-    return false;
-  };
-
+  Cursor<Fm> cur{fm, queries, opt, pf.enabled};
+  // Declared after cur: on return or throw every frame is destroyed before
+  // the cursor it points at.
+  Walk walks[kMaxInflight];
   int act[kMaxInflight];
-  int n_act = 0;
-  for (int l = 0; l < k; ++l)
-    if (feed(lanes_[static_cast<std::size_t>(l)])) act[n_act++] = l;
+  for (int l = 0; l < k; ++l) {
+    walks[l] = walk(cur, ws_[static_cast<std::size_t>(l)]);
+    act[l] = l;
+  }
 
-  // The lockstep rotation: by the time a lane is stepped again, the
-  // prefetches it issued at its last transition have had n_act-1 other
-  // lanes' work to complete.
-  while (n_act > 0) {
+  // The lockstep rotation: by the time a lane resumes, the prefetches it
+  // issued before suspending have had n_act-1 other lanes' steps to complete.
+  for (int n_act = k; n_act > 0;) {
     for (int s = 0; s < n_act;) {
-      Lane& lane = lanes_[static_cast<std::size_t>(act[s])];
-      lane.step(fm, opt);
-      if (!lane.done() || feed(lane)) {
+      if (walks[act[s]].resume())
         ++s;
-      } else {
+      else
         act[s] = act[--n_act];  // retire the lane
-      }
     }
   }
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
 
 #include "util/sw_counters.h"
 
@@ -188,154 +187,6 @@ void write_sw_counters(PromWriter& w, const SwCounters& c,
               "software event counter (see util/sw_counters.h)",
               static_cast<double>(c.*(f.member)), labels);
   }
-}
-
-// ----------------------------------------------------------------- registry
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry r;
-  return r;
-}
-
-int MetricsRegistry::register_metric(std::string name, std::string help,
-                                     Kind kind) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = by_name_.find(name); it != by_name_.end()) {
-    if (metrics_[static_cast<std::size_t>(it->second)].kind != kind)
-      throw std::logic_error("metric re-registered with different kind: " +
-                             name);
-    return it->second;
-  }
-  int slot = 0;
-  switch (kind) {
-    case Kind::kCounter:
-      if (static_cast<std::size_t>(n_counters_) >= kMaxCounters)
-        throw std::logic_error("metrics registry counter capacity exhausted");
-      slot = n_counters_++;
-      break;
-    case Kind::kGauge:
-      slot = n_gauges_++;
-      gauges_.push_back(std::make_unique<std::atomic<double>>(0.0));
-      break;
-    case Kind::kHistogram:
-      slot = n_hists_++;
-      break;
-  }
-  const int id = static_cast<int>(metrics_.size());
-  metrics_.push_back({name, std::move(help), kind, slot});
-  by_name_.emplace(std::move(name), id);
-  return id;
-}
-
-int MetricsRegistry::counter(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help), Kind::kCounter);
-}
-int MetricsRegistry::gauge(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help), Kind::kGauge);
-}
-int MetricsRegistry::histogram(std::string name, std::string help) {
-  return register_metric(std::move(name), std::move(help), Kind::kHistogram);
-}
-
-MetricsRegistry::Shard& MetricsRegistry::self_shard() {
-  struct TlsCache {
-    const MetricsRegistry* reg = nullptr;
-    Shard* shard = nullptr;
-  };
-  static thread_local TlsCache cache;
-  if (cache.reg == this) return *cache.shard;
-  std::lock_guard<std::mutex> lk(mu_);
-  Shard*& slot = shard_by_thread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    shards_.push_back(std::make_unique<Shard>());
-    slot = shards_.back().get();
-  }
-  cache = {this, slot};
-  return *slot;
-}
-
-void MetricsRegistry::add(int counter_id, std::uint64_t delta) {
-  const auto& m = metrics_[static_cast<std::size_t>(counter_id)];
-  self_shard().counters[static_cast<std::size_t>(m.slot)].fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::set(int gauge_id, double value) {
-  const auto& m = metrics_[static_cast<std::size_t>(gauge_id)];
-  gauges_[static_cast<std::size_t>(m.slot)]->store(value,
-                                                   std::memory_order_relaxed);
-}
-
-void MetricsRegistry::observe(int histogram_id, double value) {
-  const auto& m = metrics_[static_cast<std::size_t>(histogram_id)];
-  Shard& s = self_shard();
-  std::lock_guard<std::mutex> lk(s.mu);
-  if (s.hists.size() <= static_cast<std::size_t>(m.slot))
-    s.hists.resize(static_cast<std::size_t>(m.slot) + 1);
-  s.hists[static_cast<std::size_t>(m.slot)].record(value);
-}
-
-std::uint64_t MetricsRegistry::counter_value(int counter_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto& m = metrics_[static_cast<std::size_t>(counter_id)];
-  std::uint64_t total = 0;
-  for (const auto& s : shards_)
-    total += s->counters[static_cast<std::size_t>(m.slot)].load(
-        std::memory_order_relaxed);
-  return total;
-}
-
-double MetricsRegistry::gauge_value(int gauge_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto& m = metrics_[static_cast<std::size_t>(gauge_id)];
-  return gauges_[static_cast<std::size_t>(m.slot)]->load(
-      std::memory_order_relaxed);
-}
-
-Histogram MetricsRegistry::histogram_snapshot(int histogram_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto& m = metrics_[static_cast<std::size_t>(histogram_id)];
-  Histogram out;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> slk(s->mu);
-    if (s->hists.size() > static_cast<std::size_t>(m.slot))
-      out += s->hists[static_cast<std::size_t>(m.slot)];
-  }
-  return out;
-}
-
-void MetricsRegistry::write_prometheus(std::ostream& os) const {
-  std::vector<Metric> metrics;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    metrics = metrics_;
-  }
-  PromWriter w(os);
-  for (std::size_t id = 0; id < metrics.size(); ++id) {
-    const auto& m = metrics[id];
-    switch (m.kind) {
-      case Kind::kCounter:
-        w.counter(m.name, m.help,
-                  static_cast<double>(counter_value(static_cast<int>(id))));
-        break;
-      case Kind::kGauge:
-        w.gauge(m.name, m.help, gauge_value(static_cast<int>(id)));
-        break;
-      case Kind::kHistogram:
-        w.histogram(m.name, m.help, histogram_snapshot(static_cast<int>(id)));
-        break;
-    }
-  }
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& s : shards_) {
-    for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> slk(s->mu);
-    for (auto& h : s->hists) h.reset();
-  }
-  for (auto& g : gauges_) g->store(0.0, std::memory_order_relaxed);
 }
 
 }  // namespace mem2::util

@@ -1,6 +1,5 @@
 // Unified metrics layer: one histogram type for every latency/size
-// distribution in the codebase plus a small named-metric registry with
-// Prometheus-text exposition.
+// distribution in the codebase plus Prometheus-text exposition.
 //
 // Before this existed the repo had three disjoint observability
 // mechanisms: util::SwCounters (TLS counter struct), StreamMetrics /
@@ -16,15 +15,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace mem2::util {
@@ -106,65 +100,5 @@ const std::vector<SwCounterField>& sw_counter_fields();
 /// Render every SwCounters field as `mem2_sw_<field>_total`.
 void write_sw_counters(PromWriter& w, const SwCounters& c,
                        std::string_view labels = {});
-
-// ----------------------------------------------------------------- registry
-
-/// Named counters/gauges/histograms with per-thread sharding.
-///
-/// Registration (by name, idempotent) hands back a small integer id;
-/// the hot-path mutators then touch only the calling thread's shard:
-/// counter adds are relaxed atomics in a fixed per-shard array, histogram
-/// observes take an uncontended per-shard mutex (batch-granularity events
-/// only — kernel-rate counting stays in SwCounters).  snapshot()/
-/// write_prometheus() merge shards; shards of exited threads are retained
-/// so counts are monotone over the process lifetime.
-class MetricsRegistry {
- public:
-  static constexpr std::size_t kMaxCounters = 64;
-
-  static MetricsRegistry& global();
-
-  int counter(std::string name, std::string help);
-  int gauge(std::string name, std::string help);
-  int histogram(std::string name, std::string help);
-
-  void add(int counter_id, std::uint64_t delta = 1);
-  void set(int gauge_id, double value);
-  void observe(int histogram_id, double value);
-
-  std::uint64_t counter_value(int counter_id) const;
-  double gauge_value(int gauge_id) const;
-  Histogram histogram_snapshot(int histogram_id) const;
-
-  /// Merged exposition of everything registered, in registration order.
-  void write_prometheus(std::ostream& os) const;
-
-  /// Test hook: zero every shard and gauge (registrations are kept).
-  void reset_values();
-
- private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-  struct Metric {
-    std::string name, help;
-    Kind kind;
-    int slot;  // index into the per-kind storage
-  };
-  struct Shard {
-    std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-    mutable std::mutex mu;
-    std::vector<Histogram> hists;
-  };
-
-  Shard& self_shard();
-  int register_metric(std::string name, std::string help, Kind kind);
-
-  mutable std::mutex mu_;
-  std::vector<Metric> metrics_;
-  std::unordered_map<std::string, int> by_name_;
-  int n_counters_ = 0, n_gauges_ = 0, n_hists_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<std::thread::id, Shard*> shard_by_thread_;
-  std::vector<std::unique_ptr<std::atomic<double>>> gauges_;
-};
 
 }  // namespace mem2::util

@@ -1,9 +1,8 @@
 // Unified metrics layer (util/metrics.h): the log2-bucket Histogram must
 // track the old sorted-sample percentile estimators within bucket
 // resolution (it replaced both copies of that code), merging must equal
-// recording the concatenated samples, the registry must aggregate
-// per-thread shards correctly, and the Prometheus exposition must be
-// well-formed text format.
+// recording the concatenated samples, and the Prometheus exposition must
+// be well-formed text format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <random>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "util/metrics.h"
@@ -225,68 +223,6 @@ TEST(SwCounterMapping, WritesEveryFieldAsPrometheusCounter) {
   for (const auto& f : sw_counter_fields())
     EXPECT_NE(out.find("mem2_sw_" + std::string(f.name) + "_total"),
               std::string::npos);
-}
-
-// ----------------------------------------------------------------- registry
-
-TEST(MetricsRegistry, RegistrationIsIdempotentAndKindChecked) {
-  MetricsRegistry reg;
-  const int a = reg.counter("batches", "help");
-  EXPECT_EQ(reg.counter("batches", "other help"), a);
-  EXPECT_THROW(reg.gauge("batches", ""), std::logic_error);
-}
-
-TEST(MetricsRegistry, CountersMergeAcrossThreads) {
-  MetricsRegistry reg;
-  const int hits = reg.counter("hits", "");
-  const int misses = reg.counter("misses", "");
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t)
-    workers.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) reg.add(hits);
-      reg.add(misses, 5);
-    });
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(reg.counter_value(hits), 4000u);
-  EXPECT_EQ(reg.counter_value(misses), 20u);
-}
-
-TEST(MetricsRegistry, GaugeAndHistogram) {
-  MetricsRegistry reg;
-  const int g = reg.gauge("depth", "");
-  const int h = reg.histogram("wait", "");
-  reg.set(g, 3.5);
-  EXPECT_EQ(reg.gauge_value(g), 3.5);
-  std::thread other([&] { reg.observe(h, 0.25); });
-  other.join();
-  reg.observe(h, 0.75);
-  const Histogram snap = reg.histogram_snapshot(h);
-  EXPECT_EQ(snap.count(), 2u);
-  EXPECT_DOUBLE_EQ(snap.sum(), 1.0);
-  EXPECT_EQ(snap.min(), 0.25);
-  EXPECT_EQ(snap.max(), 0.75);
-}
-
-TEST(MetricsRegistry, WritePrometheusAndReset) {
-  MetricsRegistry reg;
-  const int c = reg.counter("ops_total", "Operations");
-  const int g = reg.gauge("depth", "Queue depth");
-  const int h = reg.histogram("wait_seconds", "Wait");
-  reg.add(c, 3);
-  reg.set(g, 2);
-  reg.observe(h, 0.5);
-  std::ostringstream os;
-  reg.write_prometheus(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("# TYPE ops_total counter"), std::string::npos);
-  EXPECT_NE(out.find("ops_total 3\n"), std::string::npos);
-  EXPECT_NE(out.find("depth 2\n"), std::string::npos);
-  EXPECT_NE(out.find("wait_seconds_count 1\n"), std::string::npos);
-
-  reg.reset_values();
-  EXPECT_EQ(reg.counter_value(c), 0u);
-  EXPECT_EQ(reg.gauge_value(g), 0.0);
-  EXPECT_EQ(reg.histogram_snapshot(h).count(), 0u);
 }
 
 }  // namespace
