@@ -344,13 +344,12 @@ struct IngestResult {
   std::uint64_t records_skipped = 0, pairs_dropped = 0;  // kSkip only
 };
 
-/// Stream `src` into `stream` (align::Stream or serve::ServiceStream) in
+/// Stream `src` into `stream` (an Aligner or a service session) in
 /// batch_size-read chunks until the input ends, a submit fails or `stop()`
 /// turns true.  One chunk is staged here; the session bounds the rest.
 /// Unreadable or (under kStrict) damaged FASTQ throws.
-template <typename S, typename Stop>
-IngestResult stream_reads(S& stream, const ReadSource& src, int batch_size,
-                          Stop&& stop) {
+IngestResult stream_reads(align::Stream& stream, const ReadSource& src,
+                          int batch_size, bool (*stop)()) {
   IngestResult r;
   std::vector<seq::Read> chunk;
   const auto pump = [&](auto& fastq, std::size_t per_chunk) {
@@ -643,7 +642,7 @@ bool parse_stream_spec(const std::string& arg, StreamSpec& spec) {
 /// which drains and flushes — the SAM written is a valid prefix and the
 /// process exits 0.  An ingest failure kills this client only; the service
 /// and its siblings are untouched.
-align::Status run_client(serve::ServiceStream& stream, const ReadSource& src,
+align::Status run_client(align::Stream& stream, const ReadSource& src,
                          int batch_size) {
   try {
     const IngestResult in = stream_reads(stream, src, batch_size, [] {

@@ -1,9 +1,7 @@
-// Streaming session front door: a dedicated worker pool per Stream over a
-// shared SessionCore (session.h), which owns the bounded batch queue,
-// back-pressure, paired calibration, ordered reassembly and the sticky
-// Status.  serve::AlignService drives the same core from a global pool —
-// the concurrency design lives in session.cpp; this file only supplies the
-// threads and the public Stream/Aligner surface.
+// Streaming session front door: the one session handle (Stream) over a
+// SessionCore on a SessionPool (session.h, where the concurrency design
+// lives), and the Aligner that opens a Stream on a private pool.
+// serve::AlignService opens the same Stream on its shared pool.
 //
 // Output is byte-identical to the one-shot path because batch results are
 // independent of chunking (batch-size and thread-count invariance of the
@@ -11,84 +9,88 @@
 #include "align/aligner.h"
 
 #include <memory>
-#include <thread>
+#include <utility>
 
 #include "align/session.h"
 
 namespace mem2::align {
 
-struct Stream::Impl {
-  Impl(const index::Mem2Index& index, const DriverOptions& options,
-       SamSink& sink, int pool_size)
-      : core(std::make_shared<SessionCore>(index, options, sink, pool_size)) {}
+namespace {
+Status empty_handle() { return Status::invalid("empty Stream handle"); }
+}  // namespace
 
-  std::shared_ptr<SessionCore> core;
-  std::vector<std::thread> workers;
-  bool finished = false;
+Stream::Stream() : err_(empty_handle()) {}
+Stream::Stream(std::shared_ptr<SessionCore> core, FinishHook on_finish)
+    : on_finish_(std::move(on_finish)), core_(std::move(core)) {}
+Stream::Stream(Status open_error) : err_(std::move(open_error)) {}
+Stream::Stream(Stream&& other) noexcept { *this = std::move(other); }
 
-  void worker_main() {
-    BatchWorkspace workspace;
-    for (;;) {
-      SessionWorkItem item;
-      {
-        std::unique_lock<std::mutex> lk(core->mu());
-        core->work_cv().wait(lk, [&] {
-          return core->has_work_locked() || core->closed_locked();
-        });
-        if (!core->has_work_locked()) break;
-        item = core->pop_locked();
-      }
-      core->process(std::move(item), workspace);
-    }
+Stream& Stream::operator=(Stream&& other) noexcept {
+  if (this != &other) {
+    if (core_ && !finished_) finish();
+    core_ = std::move(other.core_);
+    on_finish_ = std::move(other.on_finish_);
+    err_ = std::exchange(other.err_, empty_handle());
+    finished_ = other.finished_;
   }
-};
-
-Stream::Stream(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-Stream::Stream(Stream&&) noexcept = default;
-Stream& Stream::operator=(Stream&&) noexcept = default;
+  return *this;
+}
 
 Stream::~Stream() {
-  if (impl_ && !impl_->finished) finish();
+  if (core_ && !finished_) finish();
+}
+
+bool Stream::ok() const { return status().ok(); }
+
+Status Stream::status() const {
+  return core_ ? core_->snapshot_status() : err_;
 }
 
 Status Stream::submit(std::vector<seq::Read> chunk) {
-  if (impl_->finished) return Status::invalid("submit() after finish()");
-  return impl_->core->submit_owned(std::move(chunk));
+  if (!core_) return err_;
+  if (finished_) return Status::invalid("submit() after finish()");
+  return core_->submit_owned(std::move(chunk));
 }
 
 Status Stream::submit(std::span<const seq::Read> chunk) {
-  if (impl_->finished) return Status::invalid("submit() after finish()");
-  return impl_->core->submit_view(chunk);
+  if (!core_) return err_;
+  if (finished_) return Status::invalid("submit() after finish()");
+  return core_->submit_view(chunk);
 }
 
 Status Stream::finish() {
-  Impl& im = *impl_;
-  if (im.finished) return im.core->snapshot_status();
-  im.finished = true;
+  if (!core_) return err_;
+  if (finished_) return core_->snapshot_status();
+  finished_ = true;
 
-  im.core->close();
-  for (auto& t : im.workers)
-    if (t.joinable()) t.join();
-  im.workers.clear();
-  im.core->wait_drained();
-  im.core->finalize();
-  return im.core->snapshot_status();
+  core_->close();
+  core_->wait_drained();  // the pool drains this session's queue
+  core_->finalize();
+  const Status final = core_->snapshot_status();
+  // Out of the pool before the handle lets go of the core.
+  on_finish_(*core_, final.ok());
+  return final;
 }
 
 void Stream::cancel() {
-  impl_->core->cancel(
+  if (!core_) return;
+  core_->cancel(
       Status::cancelled("stream cancelled by caller").with_context("cancel"));
 }
 
-Status Stream::status() const { return impl_->core->snapshot_status(); }
-
-const DriverStats& Stream::stats() const { return impl_->core->stats(); }
-
-const pair::InsertStats& Stream::pair_stats() const {
-  return impl_->core->pair_stats();
+const DriverStats& Stream::stats() const {
+  static const DriverStats empty;
+  return core_ ? core_->stats() : empty;
 }
 
-StreamMetrics Stream::metrics() const { return impl_->core->metrics_snapshot(); }
+const pair::InsertStats& Stream::pair_stats() const {
+  static const pair::InsertStats empty;
+  return core_ ? core_->pair_stats() : empty;
+}
+
+StreamMetrics Stream::metrics() const {
+  return core_ ? core_->metrics_snapshot() : StreamMetrics{};
+}
 
 Aligner::Aligner(const index::Mem2Index& index, DriverOptions options)
     : index_(index), options_(options) {
@@ -98,18 +100,21 @@ Aligner::Aligner(const index::Mem2Index& index, DriverOptions options)
 std::string Aligner::sam_header() const { return sam_header_for(index_, options_); }
 
 Stream Aligner::open(SamSink& sink) const {
-  const int workers = options_.effective_workers();
-  auto impl = std::make_unique<Stream::Impl>(index_, options_, sink, workers);
-  if (status_.ok()) {
-    sink.write_header(sam_header());
-    impl->workers.reserve(static_cast<std::size_t>(workers));
-    Stream::Impl& im = *impl;
-    for (int w = 0; w < workers; ++w)
-      impl->workers.emplace_back([&im] { im.worker_main(); });
-  } else {
-    impl->core->fail(status_);
+  if (!status_.ok()) return Stream(status_);
+  sink.write_header(sam_header());
+  auto pool = std::make_shared<SessionPool>(options_.effective_workers());
+  auto core = std::make_shared<SessionCore>(index_, options_, sink, *pool);
+  {
+    std::lock_guard<std::mutex> lk(pool->mu());
+    pool->add_locked(core);
   }
-  return Stream(std::move(impl));
+  return Stream(std::move(core), [pool](SessionCore& c, bool) {
+    {
+      std::lock_guard<std::mutex> lk(pool->mu());
+      pool->remove_locked(c);
+    }
+    pool->stop();
+  });
 }
 
 Status Aligner::align(const std::vector<seq::Read>& reads, SamSink& sink,

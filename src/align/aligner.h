@@ -2,12 +2,18 @@
 //
 // An Aligner is constructed once per (index, options) pair; option
 // validation happens eagerly here and is reported as a Status instead of a
-// mid-run throw.  open() starts a bounded-memory pipelined session:
+// mid-run throw.  open() starts a bounded-memory pipelined session on a
+// private SessionPool (session.h) of effective_workers() threads:
 //
 //   submit(chunk) ─► [bounded batch queue] ─► worker pool ─► ordered writer ─► SamSink
 //                     back-pressure           one persistent    emits batches
 //                     (queue_depth)           BatchWorkspace    in read order
 //                                             per worker
+//
+// Stream is the one session handle: serve::AlignService::open() returns the
+// same type (serve::ServiceStream is an alias) for a session on the
+// service's shared pool.  Only the finish hook differs — a private pool is
+// stopped, a service session is unregistered.
 //
 // submit() carves incoming reads into batch_size batches and blocks once
 // queue_depth batches are waiting, so at most
@@ -31,6 +37,7 @@
 // batches, and the ordered writer keeps each pair's records adjacent.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,17 +47,28 @@
 #include "align/session.h"
 #include "align/status.h"
 
+namespace mem2::serve {
+class AlignService;
+}
+
 namespace mem2::align {
 
-/// One in-flight streaming session.  Move-only; created by Aligner::open().
-/// Not thread-safe: one producer thread drives submit()/finish() (the
-/// internal worker pool supplies the parallelism).
+/// One in-flight streaming session.  Move-only; created by Aligner::open()
+/// or serve::AlignService::open().  Not thread-safe: one producer thread
+/// drives submit()/finish() (the session's pool supplies the parallelism).
+/// A default-constructed handle, or one whose open failed, has ok() ==
+/// false and reports that Status from every call.
 class Stream {
  public:
+  Stream();  // inert handle: ok() == false
   Stream(Stream&&) noexcept;
+  /// Finishes the session this handle held, if any, before taking `other`.
   Stream& operator=(Stream&&) noexcept;
   /// Implicitly finishes; call finish() explicitly to observe errors.
   ~Stream();
+
+  /// status().ok(): the session opened and has not failed.
+  bool ok() const;
 
   /// Enqueue a chunk of reads (any size — batches are carved internally).
   /// Blocks when the pipeline is full (back-pressure).  Returns the sticky
@@ -63,8 +81,11 @@ class Stream {
   /// until more reads arrive).  Used by Aligner::align().
   Status submit(std::span<const seq::Read> chunk);
 
-  /// Flush the final partial batch, drain the pipeline, join the workers
-  /// and flush the sink.  Idempotent; returns the final session status.
+  /// Flush the final partial batch, drain the pipeline, flush the sink and
+  /// hand the session back to its owner (a private pool is joined; a
+  /// service session releases its admission reservation and folds its
+  /// stats into the service aggregates).  Idempotent; returns the final
+  /// session status.
   Status finish();
 
   /// Cooperatively cancel the session: the sticky status becomes kCancelled,
@@ -72,7 +93,8 @@ class Stream {
   /// are discarded, and the in-flight batch aborts at its next stage
   /// boundary — so the sink is left at a batch boundary (the SAM written so
   /// far is a byte-identical prefix of the full run).  Safe from any thread,
-  /// idempotent; call finish() afterwards to join the workers as usual.
+  /// idempotent; call finish() afterwards as usual.  A service session's
+  /// siblings on the shared pool are unaffected.
   void cancel();
 
   /// Current session status (sticky first error).
@@ -94,9 +116,16 @@ class Stream {
 
  private:
   friend class Aligner;
-  struct Impl;
-  explicit Stream(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
+  friend class serve::AlignService;
+  /// Runs once, when the finished core leaves its pool.
+  using FinishHook = std::function<void(SessionCore& core, bool ok)>;
+  Stream(std::shared_ptr<SessionCore> core, FinishHook on_finish);
+  explicit Stream(Status open_error);
+
+  FinishHook on_finish_;  // may own the pool: declared before the core
+  std::shared_ptr<SessionCore> core_;  // null when the open failed
+  Status err_;  // the open error (core_ null)
+  bool finished_ = false;
 };
 
 /// A validated (index, options) session factory.  Construction never
@@ -115,8 +144,9 @@ class Aligner {
   std::string sam_header() const;
 
   /// Open a streaming session writing to `sink`.  Writes the header
-  /// immediately, then spawns options.effective_workers() workers.  The
-  /// sink must outlive the stream.
+  /// immediately, then starts a private pool of
+  /// options.effective_workers() workers.  The sink must outlive the
+  /// stream.
   Stream open(SamSink& sink) const;
 
   /// One-shot convenience: open -> submit(reads) -> finish.

@@ -183,16 +183,11 @@ std::vector<io::SamRecord> align_reads(const index::Mem2Index& index,
 /// The @PG-bearing SAM header for this aligner.
 std::string sam_header_for(const index::Mem2Index& index, const DriverOptions& options);
 
-// Internal entry points (one per mode), exposed for the benches.
+/// The read-at-a-time baseline driver; align_chunk's Mode::kBaseline path.
 void align_reads_baseline(const index::Mem2Index& index,
                           std::span<const seq::Read> reads,
                           const DriverOptions& options,
                           std::vector<std::vector<io::SamRecord>>& per_read,
                           DriverStats* stats);
-void align_reads_batch(const index::Mem2Index& index,
-                       std::span<const seq::Read> reads,
-                       const DriverOptions& options,
-                       std::vector<std::vector<io::SamRecord>>& per_read,
-                       DriverStats* stats);
 
 }  // namespace mem2::align

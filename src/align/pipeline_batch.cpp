@@ -32,9 +32,8 @@
 // first batch the steady state performs no system allocations for them
 // (§3.2).  Still allocating per batch: the chain lists themselves (one
 // seed vector per chain).
-// The workspace is caller-owned so the streaming Aligner session can keep
-// one per worker across many chunks; align_reads_batch wraps a throwaway
-// one.
+// The workspace is caller-owned so the streaming session can keep one per
+// pool worker across many chunks.
 #include <omp.h>
 
 #include <algorithm>
@@ -939,17 +938,6 @@ void collect_regions(const index::Mem2Index& index, std::span<const seq::Read> r
       per_read_regs[batch_beg + static_cast<std::size_t>(i)] =
           ws.states[static_cast<std::size_t>(i)].regs;
   });
-}
-
-void align_reads_batch(const index::Mem2Index& index,
-                       std::span<const seq::Read> reads,
-                       const DriverOptions& options,
-                       std::vector<std::vector<io::SamRecord>>& per_read,
-                       DriverStats* stats) {
-  DriverOptions opt = options;
-  opt.mode = Mode::kBatch;
-  BatchWorkspace workspace;
-  align_chunk(index, reads, opt, nullptr, workspace, per_read, stats);
 }
 
 }  // namespace mem2::align

@@ -1,11 +1,11 @@
-// SessionCore implementation — the queueing/calibration/reassembly engine
-// previously embedded in Stream::Impl (see session.h for the split).
+// SessionPool and SessionCore: the worker loop and the queueing/
+// calibration/reassembly engine of every streaming session (see session.h).
 //
-// Concurrency design (unchanged from the original Stream):
+// Concurrency design:
 //   - The producer carves reads into batch_size batches and enqueues them;
 //     the queue holds at most queue_depth batches, so the producer blocks
 //     instead of buffering unbounded input.
-//   - A worker (dedicated or pooled) pops one batch, aligns it with its own
+//   - A pool worker pops one batch, aligns it with its own
 //     BatchWorkspace, then inserts the flattened records into a reorder
 //     buffer keyed by batch sequence number.  Whichever worker completes
 //     the next-in-order batch drains the buffer to the sink under emit_mu_,
@@ -16,6 +16,11 @@
 //     and the ordered writer stops at the first missing batch, leaving the
 //     sink at a batch boundary.  Failure is per-session: siblings sharing
 //     the pool (serve::AlignService) never observe it.
+//
+// Locking: the pool's mutex guards its live list and every one of its
+// cores' queues.  Lock order is pool mu -> core state_mu -> token mutex (a
+// leaf); emit locks are per-core and never nest with the pool mutex.
+// Batch processing itself runs with no lock held.
 #include "align/session.h"
 
 #include <algorithm>
@@ -64,24 +69,79 @@ Status validate_session(const index::Mem2Index& index,
   return Status();
 }
 
+SessionPool::SessionPool(int workers) {
+  threads_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w)
+    threads_.emplace_back([this] { worker_main(); });
+}
+
+SessionPool::~SessionPool() { stop(); }
+
+void SessionPool::add_locked(std::shared_ptr<SessionCore> core) {
+  live_.push_back(std::move(core));
+}
+
+void SessionPool::remove_locked(const SessionCore& core) {
+  std::erase_if(live_, [&](const auto& c) { return c.get() == &core; });
+}
+
+void SessionPool::stop() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (auto& t : threads_)
+    if (t.joinable()) t.join();
+}
+
+bool SessionPool::has_work_locked() const {
+  for (const auto& core : live_)
+    if (core->has_work_locked()) return true;
+  return false;
+}
+
+std::shared_ptr<SessionCore> SessionPool::pick_locked() {
+  const std::size_t n = live_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = (cursor_ + k) % n;
+    if (live_[i]->has_work_locked()) {
+      cursor_ = (i + 1) % n;
+      return live_[i];
+    }
+  }
+  return nullptr;
+}
+
+void SessionPool::worker_main() {
+  BatchWorkspace workspace;
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    work_cv_.wait(lk, [&] { return stopping_ || has_work_locked(); });
+    auto core = pick_locked();
+    if (!core) break;  // stopping, and every queue is drained
+    auto item = core->pop_locked();
+    lk.unlock();
+    core->process(std::move(item), workspace);
+    core.reset();  // drop the ref before re-locking (finish may remove it)
+    lk.lock();
+  }
+}
+
 SessionCore::SessionCore(const index::Mem2Index& index, DriverOptions options,
-                         SamSink& sink, int pool_size, std::mutex* shared_mu,
-                         std::condition_variable* shared_work_cv,
-                         std::shared_ptr<void> keep_alive, util::Clock* clock)
+                         SamSink& sink, SessionPool& pool, util::Clock* clock)
     : index_(index),
       trace_id_(g_next_trace_id.fetch_add(1, std::memory_order_relaxed)),
       options_(std::move(options)),
       worker_options_(options_),
       sink_(sink),
-      keep_alive_(std::move(keep_alive)),
+      pool_(pool),
       clock_(clock ? clock : &util::Clock::real()),
-      cancel_token_(clock_),
-      q_mu_(shared_mu ? shared_mu : &own_mu_),
-      work_cv_(shared_work_cv ? shared_work_cv : &own_work_cv_) {
+      cancel_token_(clock_) {
   // With several workers available the parallelism comes from concurrent
   // batches: each batch runs serially inside.  With one worker, behave
   // exactly like the one-shot driver.
-  if (pool_size > 1) worker_options_.threads = 1;
+  if (pool.size() > 1) worker_options_.threads = 1;
 }
 
 void SessionCore::fail(Status st) {
@@ -127,7 +187,7 @@ StreamMetrics SessionCore::metrics_snapshot() const {
 }
 
 Status SessionCore::enqueue(SessionWorkItem item) {
-  std::unique_lock<std::mutex> lk(*q_mu_);
+  std::unique_lock<std::mutex> lk(pool_.mu());
   q_not_full_.wait(lk, [&] {
     return static_cast<int>(queue_.size()) < options_.queue_depth ||
            failed_.load(std::memory_order_acquire);
@@ -140,7 +200,7 @@ Status SessionCore::enqueue(SessionWorkItem item) {
   if (queue_.size() > queue_hwm_.load(std::memory_order_relaxed))
     queue_hwm_.store(queue_.size(), std::memory_order_relaxed);
   lk.unlock();
-  work_cv_->notify_one();
+  pool_.work_cv().notify_one();
   return Status();
 }
 
@@ -268,14 +328,14 @@ void SessionCore::close() {
   calib_.clear();
 
   {
-    std::lock_guard<std::mutex> lk(*q_mu_);
+    std::lock_guard<std::mutex> lk(pool_.mu());
     closed_ = true;
   }
-  work_cv_->notify_all();
+  pool_.work_cv().notify_all();
 }
 
 void SessionCore::wait_drained() {
-  std::unique_lock<std::mutex> lk(*q_mu_);
+  std::unique_lock<std::mutex> lk(pool_.mu());
   drained_cv_.wait(lk, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
@@ -418,7 +478,7 @@ void SessionCore::process(SessionWorkItem item, BatchWorkspace& workspace) {
     }
   }
 
-  std::lock_guard<std::mutex> lk(*q_mu_);
+  std::lock_guard<std::mutex> lk(pool_.mu());
   retire_locked();
 }
 

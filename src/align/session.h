@@ -1,22 +1,23 @@
-// SessionCore — the per-stream session engine behind both front doors.
+// SessionCore and SessionPool — the one session runtime behind both front
+// doors.
 //
 // A core owns everything one streaming session needs except the worker
 // threads: the bounded batch queue with back-pressure, paired-mode
 // calibration, ordered reassembly into the session's SamSink, the sticky
 // Status, per-session DriverStats and the StreamMetrics observability
-// block.  Who supplies the threads is the only difference between the two
-// deployment shapes:
+// block.  A SessionPool owns the threads: one worker loop that scans its
+// live cores round-robin and runs one batch per pick.  Every core belongs
+// to exactly one pool and queues under the pool's mutex and work condition
+// variable, so a worker sees all of its sessions' queues under one lock.
+// The two deployment shapes differ only in how many cores share a pool:
 //
-//   - Stream (aligner.h): a dedicated pool per session.  The core owns its
-//     queue mutex and work condition variable; workers block on them.
-//   - serve::AlignService: one global pool multiplexed over many cores.
-//     Every core is constructed with the service's shared mutex + work cv,
-//     so a pooled worker can scan all sessions' queues under one lock and
-//     pick fairly.
+//   - Aligner::open() (aligner.h): a private pool of effective_workers()
+//     threads serving one core, stopped when the Stream finishes.
+//   - serve::AlignService: one pool over every admitted session.
 //
 // Producer calls (submit/close/wait_drained/finalize) are single-threaded
-// per core, exactly like Stream.  Worker calls come from any thread: hold a
-// lock on mu() around the *_locked accessors, then run process() unlocked.
+// per core, exactly like Stream.  Worker calls come from the pool: it holds
+// mu() around the *_locked accessors, then runs process() unlocked.
 #pragma once
 
 #include <array>
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "align/cancel.h"
@@ -84,21 +86,61 @@ struct StreamMetrics {
 Status validate_session(const index::Mem2Index& index,
                         const DriverOptions& options);
 
+class SessionCore;
+
+/// The worker threads of one or more sessions.  Workers wait on work_cv()
+/// for a queued batch in any live core, pick cores round-robin from a
+/// rotating cursor (at most one batch per pick, so queue lengths — not
+/// submission aggressiveness — bound how far a client gets ahead), and keep
+/// one BatchWorkspace each, reused across sessions (it is option-agnostic).
+/// The pool must outlive every core constructed on it.
+class SessionPool {
+ public:
+  /// Starts `workers` threads.
+  explicit SessionPool(int workers);
+  /// stop().
+  ~SessionPool();
+
+  SessionPool(const SessionPool&) = delete;
+  SessionPool& operator=(const SessionPool&) = delete;
+
+  int size() const { return static_cast<int>(threads_.size()); }
+  std::mutex& mu() { return mu_; }
+  std::condition_variable& work_cv() { return work_cv_; }
+
+  // --- Lock mu() around these ---
+  const std::vector<std::shared_ptr<SessionCore>>& live_locked() const {
+    return live_;
+  }
+  void add_locked(std::shared_ptr<SessionCore> core);
+  void remove_locked(const SessionCore& core);
+
+  /// Let the workers drain every queued batch, then join them.  Idempotent;
+  /// never call it from a worker.
+  void stop();
+
+ private:
+  bool has_work_locked() const;
+  std::shared_ptr<SessionCore> pick_locked();
+  void worker_main();
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::vector<std::shared_ptr<SessionCore>> live_;
+  std::size_t cursor_ = 0;  // round-robin scan start
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;  // last: started once the rest exists
+};
+
 class SessionCore {
  public:
-  /// `pool_size` is how many workers may run this core's batches
-  /// concurrently (it decides whether a batch parallelizes internally, as
-  /// in the single-worker Stream, or stays serial per batch).  Standalone
-  /// cores pass null `shared_mu`/`shared_work_cv` and own both; service
-  /// cores receive the pool's.  `keep_alive` pins whatever owns the shared
-  /// mutex (the service Impl) so a handle outliving the service stays safe.
-  /// `clock` (null = real) drives batch latency timestamps and the cancel
-  /// token's heartbeats, so deadline behavior is testable with a FakeClock.
+  /// The core queues under `pool`'s mutex and work cv; the pool's size
+  /// decides whether a batch parallelizes internally (one worker, like the
+  /// one-shot driver) or stays serial per batch.  `clock` (null = real)
+  /// drives batch latency timestamps and the cancel token's heartbeats, so
+  /// deadline behavior is testable with a FakeClock.
   SessionCore(const index::Mem2Index& index, DriverOptions options,
-              SamSink& sink, int pool_size, std::mutex* shared_mu = nullptr,
-              std::condition_variable* shared_work_cv = nullptr,
-              std::shared_ptr<void> keep_alive = nullptr,
-              util::Clock* clock = nullptr);
+              SamSink& sink, SessionPool& pool, util::Clock* clock = nullptr);
 
   SessionCore(const SessionCore&) = delete;
   SessionCore& operator=(const SessionCore&) = delete;
@@ -146,12 +188,9 @@ class SessionCore {
   /// span this session's batches emit.
   std::uint32_t trace_id() const { return trace_id_; }
 
-  // --- Worker side: lock mu() around the *_locked calls ---
+  // --- Worker side: lock the pool's mu() around the *_locked calls ---
 
-  std::mutex& mu() { return *q_mu_; }
-  std::condition_variable& work_cv() { return *work_cv_; }
   bool has_work_locked() const { return !queue_.empty(); }
-  bool closed_locked() const { return closed_; }
   /// Nothing queued and nothing being processed.
   bool idle_locked() const { return queue_.empty() && in_flight_ == 0; }
   /// Batches currently being processed (the watchdog only monitors
@@ -174,7 +213,7 @@ class SessionCore {
   const DriverOptions options_;
   DriverOptions worker_options_;  // threads=1 when the pool supplies >1
   SamSink& sink_;
-  std::shared_ptr<void> keep_alive_;
+  SessionPool& pool_;
   util::Clock* clock_;        // before cancel_token_: the token borrows it
   CancelToken cancel_token_;  // cancellation + per-batch progress heartbeats
 
@@ -188,18 +227,13 @@ class SessionCore {
   pair::InsertStats pe_stats_;
   bool pe_ready_ = false;
 
-  // Bounded batch queue.  q_mu_/work_cv_ point at own_* or the service's.
-  std::mutex own_mu_;
-  std::condition_variable own_work_cv_;
-  std::mutex* q_mu_;
-  std::condition_variable* work_cv_;
+  // Bounded batch queue, guarded by the pool's mutex.
   std::condition_variable q_not_full_;
   std::condition_variable drained_cv_;
   std::deque<SessionWorkItem> queue_;
   int in_flight_ = 0;
-  // Written under q_mu_ but atomic so metrics_snapshot() can read it
-  // without the queue mutex — which may be the service's shared mutex,
-  // already held by a metrics() caller.
+  // Written under the pool's mutex but atomic so metrics_snapshot() can
+  // read it without that mutex, which a service metrics() caller holds.
   std::atomic<std::size_t> queue_hwm_{0};
   bool closed_ = false;
 

@@ -35,10 +35,10 @@ Mem2Index Mem2Index::build(seq::Reference ref, const IndexBuildOptions& opt) {
   idx.ref_ = std::move(ref);
   MEM2_REQUIRE(idx.ref_.length() > 0, "cannot index an empty reference");
 
-  const idx_t n2 = 2 * idx.ref_.length();
   // Fail before the expensive suffix-array pass: the 32-bit components
   // (CP32 counts, flat SA entries) cap the doubled length at 2^32-1.
-  if (opt.build_cp32 || opt.build_flat_sa) OccCp32::check_text_length(n2);
+  const idx_t n2 = 2 * idx.ref_.length();
+  OccCp32::check_text_length(n2);
 
   BuildPhases phases(opt);
 
@@ -50,66 +50,41 @@ Mem2Index Mem2Index::build(seq::Reference ref, const IndexBuildOptions& opt) {
     text = with_reverse_complement(fwd);
   });
 
-  // 32-bit SA whenever it fits (always, given the check above, unless only
-  // baseline components of a >2G reference are requested): the SA-IS core
-  // runs in the flat SA's own buffer, and the 64-bit path exists solely
-  // for such oversized baseline-only builds.
-  const bool narrow = static_cast<std::size_t>(n2) + 1 <=
-                      static_cast<std::size_t>(0x7ffffffe);
-  if (narrow) {
-    util::BigVector<std::uint32_t> sa;
-    phases.run("suffix-array",
-               [&] { sa = build_suffix_array_u32(text, opt.threads); });
+  // The phases after the suffix array, for either SA element width.
+  const auto derive = [&](auto sa) {
     BwtData bwt;
     phases.run("bwt", [&] {
       bwt = derive_bwt(text, sa);
       text.clear();
       text.shrink_to_fit();
     });
-    if (opt.build_cp128) {
-      phases.run("occ-cp128", [&] {
-        idx.fm128_.build(bwt);
-        idx.fm128_.store_raw_bwt(bwt);  // needed for baseline SAL LF-walks
-      });
-    }
-    if (opt.build_cp32)
-      phases.run("occ-cp32", [&] { idx.fm32_.build(bwt); });
+    phases.run("occ-cp128", [&] {
+      idx.fm128_.build(bwt);
+      idx.fm128_.store_raw_bwt(bwt);  // needed for baseline SAL LF-walks
+    });
+    phases.run("occ-cp32", [&] { idx.fm32_.build(bwt); });
     bwt.bwt.clear();
     bwt.bwt.shrink_to_fit();
-    if (opt.build_sampled_sa) {
-      phases.run("sampled-sa",
-                 [&] { idx.sampled_sa_.build(sa, opt.sampled_interval); });
-    }
-    if (opt.build_flat_sa) {
-      // Move, not copy: the SA buffer becomes the flat SA.
-      phases.run("flat-sa", [&] { idx.flat_sa_.build(std::move(sa)); });
-    }
+    phases.run("sampled-sa",
+               [&] { idx.sampled_sa_.build(sa, opt.sampled_interval); });
+    // Move, not copy: a 32-bit SA buffer becomes the flat SA.
+    phases.run("flat-sa", [&] { idx.flat_sa_.build(std::move(sa)); });
+  };
+
+  // 32-bit SA whenever the SA-IS core fits it (doubled length up to
+  // 2^31-3): the core then runs in the flat SA's own buffer.  Doubled
+  // lengths in (2^31-3, 2^32-1] take the 64-bit SA, narrowed into the flat
+  // SA at the end.
+  if (static_cast<std::size_t>(n2) + 1 <= static_cast<std::size_t>(0x7ffffffe)) {
+    util::BigVector<std::uint32_t> sa;
+    phases.run("suffix-array",
+               [&] { sa = build_suffix_array_u32(text, opt.threads); });
+    derive(std::move(sa));
   } else {
     std::vector<idx_t> sa;
     phases.run("suffix-array",
                [&] { sa = build_suffix_array(text, opt.threads); });
-    BwtData bwt;
-    phases.run("bwt", [&] {
-      bwt = derive_bwt(text, sa);
-      text.clear();
-      text.shrink_to_fit();
-    });
-    if (opt.build_cp128) {
-      phases.run("occ-cp128", [&] {
-        idx.fm128_.build(bwt);
-        idx.fm128_.store_raw_bwt(bwt);
-      });
-    }
-    if (opt.build_cp32)
-      phases.run("occ-cp32", [&] { idx.fm32_.build(bwt); });
-    bwt.bwt.clear();
-    bwt.bwt.shrink_to_fit();
-    if (opt.build_sampled_sa) {
-      phases.run("sampled-sa",
-                 [&] { idx.sampled_sa_.build(sa, opt.sampled_interval); });
-    }
-    if (opt.build_flat_sa)
-      phases.run("flat-sa", [&] { idx.flat_sa_.build(sa); });
+    derive(std::move(sa));
   }
   return idx;
 }

@@ -19,10 +19,6 @@
 namespace mem2::index {
 
 struct IndexBuildOptions {
-  bool build_cp128 = true;
-  bool build_cp32 = true;
-  bool build_sampled_sa = true;
-  bool build_flat_sa = true;
   /// Baseline SAL sampling interval (power of two).  BWA indexes with 32;
   /// the SAL bench sweeps this up to the paper's quoted 128.
   int sampled_interval = 32;

@@ -10,9 +10,7 @@ void OccCp32::check_text_length(idx_t seq_len) {
     throw mem2::invariant_error(
         "CP32 occ table stores uint32_t bucket counts: doubled sequence "
         "length " +
-        std::to_string(seq_len) + " exceeds the 4294967295 (2^32-1) limit; "
-        "build with build_cp32=false and build_flat_sa=false for longer "
-        "references");
+        std::to_string(seq_len) + " exceeds the 4294967295 (2^32-1) limit");
 }
 
 void OccCp32::build(const std::vector<seq::Code>& bwt) {

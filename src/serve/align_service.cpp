@@ -1,15 +1,11 @@
 // AlignService implementation: admission (fail-fast or bounded FIFO
-// queueing), the shared worker pool, the round-robin scheduler over
-// per-session SessionCores, the batch-progress watchdog and graceful
-// shutdown (see align_service.h for the design).
+// queueing), the batch-progress watchdog and graceful shutdown on top of
+// one shared align::SessionPool (see align_service.h for the design).
 //
-// Locking: impl->mu is simultaneously the service registry lock *and*
-// every session core's queue mutex (cores are constructed with it), so a
-// worker holding mu sees a consistent picture of all queues while picking.
-// Lock order is mu -> core state_mu -> token mutex (a leaf); emit locks are
-// per-core and never nest with mu.  Batch processing itself runs with no
-// lock held.  All deadline waits go through the injected util::Clock so the
-// admission/watchdog/shutdown paths are testable with a FakeClock.
+// Locking: the pool's mutex is also the service's admission lock, so the
+// live list the pool schedules from is the one admission counts.  All
+// deadline waits go through the injected util::Clock so the admission/
+// watchdog/shutdown paths are testable with a FakeClock.
 #include "serve/align_service.h"
 
 #include <algorithm>
@@ -72,21 +68,17 @@ struct AlignService::Impl {
   Impl(const index::Mem2Index& index, const ServeOptions& options, int workers)
       : index(index),
         opts(options),
-        n_workers(workers),
-        clock(options.clock ? options.clock : &util::Clock::real()) {}
+        clock(options.clock ? options.clock : &util::Clock::real()),
+        pool(workers) {}
 
   const index::Mem2Index& index;
   const ServeOptions opts;
-  const int n_workers;
   util::Clock* const clock;
+  align::SessionPool pool;
+  std::mutex& mu = pool.mu();  // guards everything below and the live list
 
-  // Registry + scheduler state; also every core's queue mutex / work cv.
-  std::mutex mu;
-  std::condition_variable work_cv;
-  std::vector<std::shared_ptr<align::SessionCore>> live;
-  std::size_t cursor = 0;  // round-robin scan start
   int reserved_batches = 0;
-  bool shutdown = false;   // destructor: pool + watchdog exit
+  bool shutdown = false;   // destructor: watchdog exits, opens refused
   bool admitting = true;   // shutdown(): new opens rejected, pool keeps going
 
   // Bounded FIFO admission queue: tickets in arrival order.  A waiter may
@@ -99,59 +91,22 @@ struct AlignService::Impl {
   // Admission counters + aggregates folded in as sessions retire.
   ServiceMetrics retired;
 
-  std::vector<std::thread> pool;
   std::thread watchdog;
   std::condition_variable watch_cv;  // wakes the watchdog early on shutdown
 
-  bool has_any_work_locked() const {
-    for (const auto& core : live)
-      if (core->has_work_locked()) return true;
-    return false;
+  const std::vector<std::shared_ptr<align::SessionCore>>& live() const {
+    return pool.live_locked();
   }
 
   bool admissible_locked(int queue_depth) const {
-    return static_cast<int>(live.size()) < opts.max_streams &&
+    return static_cast<int>(live().size()) < opts.max_streams &&
            reserved_batches + queue_depth <= opts.max_inflight_batches;
   }
 
   bool all_idle_locked() const {
-    for (const auto& core : live)
+    for (const auto& core : live())
       if (!core->idle_locked()) return false;
     return true;
-  }
-
-  /// Next session with a queued batch, scanning round-robin from the
-  /// rotating cursor: each pick takes at most one batch per session before
-  /// moving on, so queue lengths — not submission aggressiveness — bound
-  /// how far any client can get ahead.
-  std::shared_ptr<align::SessionCore> pick_locked() {
-    const std::size_t n = live.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = (cursor + k) % n;
-      if (live[i]->has_work_locked()) {
-        cursor = (i + 1) % n;
-        return live[i];
-      }
-    }
-    return nullptr;
-  }
-
-  void worker_main() {
-    align::BatchWorkspace workspace;  // option-agnostic: reused across sessions
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-      work_cv.wait(lk, [&] { return shutdown || has_any_work_locked(); });
-      auto core = pick_locked();
-      if (!core) {
-        if (shutdown) break;  // spurious/raced wake with no work left
-        continue;
-      }
-      auto item = core->pop_locked();
-      lk.unlock();
-      core->process(std::move(item), workspace);
-      core.reset();  // drop the ref before re-locking (finish may erase it)
-      lk.lock();
-    }
   }
 
   /// Batch-progress watchdog: cancels (kDeadlineExceeded) any session whose
@@ -166,7 +121,7 @@ struct AlignService::Impl {
     std::unique_lock<std::mutex> lk(mu);
     while (!shutdown) {
       const auto now = clock->now();
-      for (const auto& core : live) {
+      for (const auto& core : live()) {
         align::CancelToken& token = core->cancel_token();
         if (core->in_flight_locked() > 0 && !token.cancelled() &&
             now - token.last_beat() >= stall) {
@@ -183,17 +138,18 @@ struct AlignService::Impl {
     }
   }
 
-  /// Remove a finished session, release its reservation (waking queued
-  /// opens) and fold its stats into the aggregates.
-  void unregister(const std::shared_ptr<align::SessionCore>& core, bool ok) {
+  /// A stream's finish hook: remove the finished session from the pool,
+  /// release its reservation (waking queued opens) and fold its stats into
+  /// the aggregates.
+  void unregister(align::SessionCore& core, bool ok) {
     {
       std::lock_guard<std::mutex> lk(mu);
-      live.erase(std::remove(live.begin(), live.end(), core), live.end());
-      reserved_batches -= core->options().queue_depth;
-      const align::DriverStats& s = core->stats();  // stable after finalize()
+      pool.remove_locked(core);
+      reserved_batches -= core.options().queue_depth;
+      const align::DriverStats& s = core.stats();  // stable after finalize()
       retired.reads += s.reads;
       retired.counters += s.counters;
-      retired.merged += core->metrics_snapshot();
+      retired.merged += core.metrics_snapshot();
       ++(ok ? retired.streams_completed : retired.streams_failed);
     }
     // Capacity freed: the front queued open (if any) can admit itself, and
@@ -201,81 +157,6 @@ struct AlignService::Impl {
     admit_cv.notify_all();
   }
 };
-
-struct ServiceStream::State {
-  std::shared_ptr<AlignService::Impl> impl;
-  std::shared_ptr<align::SessionCore> core;  // null when admission failed
-  align::Status err;                         // the admission/validation error
-  bool finished = false;
-};
-
-ServiceStream::ServiceStream() = default;
-ServiceStream::ServiceStream(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-ServiceStream::ServiceStream(ServiceStream&&) noexcept = default;
-ServiceStream& ServiceStream::operator=(ServiceStream&&) noexcept = default;
-
-ServiceStream::~ServiceStream() {
-  if (state_ && !state_->finished) finish();
-}
-
-bool ServiceStream::ok() const { return status().ok(); }
-
-align::Status ServiceStream::status() const {
-  if (!state_) return align::Status::invalid("empty ServiceStream handle");
-  if (state_->core) return state_->core->snapshot_status();
-  return state_->err;
-}
-
-align::Status ServiceStream::submit(std::vector<seq::Read> chunk) {
-  if (!state_ || !state_->core) return status();
-  if (state_->finished) return align::Status::invalid("submit() after finish()");
-  return state_->core->submit_owned(std::move(chunk));
-}
-
-align::Status ServiceStream::submit(std::span<const seq::Read> chunk) {
-  if (!state_ || !state_->core) return status();
-  if (state_->finished) return align::Status::invalid("submit() after finish()");
-  return state_->core->submit_view(chunk);
-}
-
-align::Status ServiceStream::finish() {
-  if (!state_ || !state_->core) {
-    if (state_) state_->finished = true;
-    return status();
-  }
-  State& st = *state_;
-  if (st.finished) return st.core->snapshot_status();
-  st.finished = true;
-
-  st.core->close();
-  st.core->wait_drained();  // the shared pool drains this session's queue
-  st.core->finalize();
-  const align::Status final = st.core->snapshot_status();
-  st.impl->unregister(st.core, final.ok());
-  return final;
-}
-
-void ServiceStream::cancel() {
-  if (!state_ || !state_->core) return;
-  state_->core->cancel(
-      align::Status::cancelled("stream cancelled by caller").with_context("cancel"));
-}
-
-const align::DriverStats& ServiceStream::stats() const {
-  static const align::DriverStats empty;
-  return state_ && state_->core ? state_->core->stats() : empty;
-}
-
-const pair::InsertStats& ServiceStream::pair_stats() const {
-  static const pair::InsertStats empty;
-  return state_ && state_->core ? state_->core->pair_stats() : empty;
-}
-
-align::StreamMetrics ServiceStream::metrics() const {
-  return state_ && state_->core ? state_->core->metrics_snapshot()
-                                : align::StreamMetrics{};
-}
 
 AlignService::AlignService(const index::Mem2Index& index, ServeOptions options)
     : options_(options) {
@@ -285,12 +166,8 @@ AlignService::AlignService(const index::Mem2Index& index, ServeOptions options)
   if (workers == 0)
     workers = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   impl_ = std::make_shared<Impl>(index, options_, workers);
-  impl_->pool.reserve(static_cast<std::size_t>(workers));
-  Impl* im = impl_.get();
-  for (int w = 0; w < workers; ++w)
-    impl_->pool.emplace_back([im] { im->worker_main(); });
   if (options_.batch_stall_ms > 0)
-    impl_->watchdog = std::thread([im] { im->watchdog_main(); });
+    impl_->watchdog = std::thread([im = impl_.get()] { im->watchdog_main(); });
 }
 
 AlignService::~AlignService() {
@@ -299,44 +176,33 @@ AlignService::~AlignService() {
     std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->shutdown = true;
     impl_->admitting = false;
-    for (auto& core : impl_->live)
+    for (const auto& core : impl_->live())
       core->fail(align::Status::internal(
           "AlignService destroyed before stream finish()"));
   }
-  impl_->work_cv.notify_all();
   impl_->admit_cv.notify_all();  // queued opens abandon with an error
   impl_->watch_cv.notify_all();
   if (impl_->watchdog.joinable()) impl_->watchdog.join();
-  for (auto& t : impl_->pool)
-    if (t.joinable()) t.join();
-  impl_->pool.clear();
-  // Outstanding handles keep impl_ alive via their State and observe the
-  // failure; their queues were drained by the pool before it exited.
+  impl_->pool.stop();
+  // Outstanding handles keep impl_ alive via their finish hook and observe
+  // the failure; their queues were drained by the pool before it exited.
 }
 
 ServiceStream AlignService::open(const align::DriverOptions& options,
                                  align::SamSink& sink) {
-  auto state = std::make_unique<ServiceStream::State>();
-  state->impl = impl_;
-  if (!status_.ok()) {
-    state->err = status_;
-    return ServiceStream(std::move(state));
-  }
+  if (!status_.ok()) return ServiceStream(status_);
   if (align::Status st = align::validate_session(impl_->index, options);
-      !st.ok()) {
-    state->err = st;
-    return ServiceStream(std::move(state));
-  }
+      !st.ok())
+    return ServiceStream(st);
 
   Impl& im = *impl_;
   const int qd = options.queue_depth;
   std::shared_ptr<align::SessionCore> core;
   {
     std::unique_lock<std::mutex> lk(im.mu);
-    if (im.shutdown || !im.admitting) {
-      state->err = align::Status::invalid("open() on a shut-down AlignService");
-      return ServiceStream(std::move(state));
-    }
+    if (im.shutdown || !im.admitting)
+      return ServiceStream(
+          align::Status::invalid("open() on a shut-down AlignService"));
     // Immediate admission only jumps an *empty* line: with waiters queued,
     // a new arrival goes to the back so admission stays strictly FIFO.
     if (!(im.admissible_locked(qd) && im.open_queue.empty())) {
@@ -345,30 +211,27 @@ ServiceStream AlignService::open(const align::DriverOptions& options,
         // helped: capacity frees when a stream finishes, or the caller can
         // opt into bounded waiting.
         ++im.retired.streams_rejected;
-        if (static_cast<int>(im.live.size()) >= im.opts.max_streams) {
-          state->err = align::Status::resource_exhausted(
-              "admission denied: " + std::to_string(im.live.size()) + "/" +
+        const std::size_t n_live = im.live().size();
+        if (static_cast<int>(n_live) >= im.opts.max_streams)
+          return ServiceStream(align::Status::resource_exhausted(
+              "admission denied: " + std::to_string(n_live) + "/" +
               std::to_string(im.opts.max_streams) +
               " streams already open; enable admission queueing "
-              "(admission_timeout_ms) or retry after a stream finishes");
-        } else {
-          state->err = align::Status::resource_exhausted(
-              "admission denied: in-flight batch budget " +
-              std::to_string(im.opts.max_inflight_batches) +
-              " would be exceeded (" + std::to_string(im.reserved_batches) +
-              " reserved + " + std::to_string(qd) +
-              " requested); enable admission queueing "
-              "(admission_timeout_ms) or retry after a stream finishes");
-        }
-        return ServiceStream(std::move(state));
+              "(admission_timeout_ms) or retry after a stream finishes"));
+        return ServiceStream(align::Status::resource_exhausted(
+            "admission denied: in-flight batch budget " +
+            std::to_string(im.opts.max_inflight_batches) +
+            " would be exceeded (" + std::to_string(im.reserved_batches) +
+            " reserved + " + std::to_string(qd) +
+            " requested); enable admission queueing "
+            "(admission_timeout_ms) or retry after a stream finishes"));
       }
       if (static_cast<int>(im.open_queue.size()) >= im.opts.max_pending_opens) {
         ++im.retired.streams_rejected;
-        state->err = align::Status::resource_exhausted(
+        return ServiceStream(align::Status::resource_exhausted(
             "admission queue full: " + std::to_string(im.open_queue.size()) +
             "/" + std::to_string(im.opts.max_pending_opens) +
-            " opens already waiting; retry after a stream finishes");
-        return ServiceStream(std::move(state));
+            " opens already waiting; retry after a stream finishes"));
       }
       const std::uint64_t ticket = im.next_ticket++;
       im.open_queue.push_back(ticket);
@@ -395,35 +258,30 @@ ServiceStream AlignService::open(const align::DriverOptions& options,
         // waiter may now be admissible.
         im.admit_cv.notify_all();
         ++im.retired.streams_rejected;
-        if (im.shutdown || !im.admitting) {
-          state->err = align::Status::resource_exhausted(
-              "admission abandoned: service shutting down");
-        } else {
-          ++im.retired.streams_timed_out;
-          state->err = align::Status::resource_exhausted(
-              "admission timed out after " +
-              std::to_string(im.opts.admission_timeout_ms) +
-              "ms waiting for capacity (" + std::to_string(im.live.size()) +
-              "/" + std::to_string(im.opts.max_streams) + " streams, " +
-              std::to_string(im.reserved_batches) + "/" +
-              std::to_string(im.opts.max_inflight_batches) +
-              " batches reserved); retry after a stream finishes");
-        }
-        return ServiceStream(std::move(state));
+        if (im.shutdown || !im.admitting)
+          return ServiceStream(align::Status::resource_exhausted(
+              "admission abandoned: service shutting down"));
+        ++im.retired.streams_timed_out;
+        return ServiceStream(align::Status::resource_exhausted(
+            "admission timed out after " +
+            std::to_string(im.opts.admission_timeout_ms) +
+            "ms waiting for capacity (" + std::to_string(im.live().size()) +
+            "/" + std::to_string(im.opts.max_streams) + " streams, " +
+            std::to_string(im.reserved_batches) + "/" +
+            std::to_string(im.opts.max_inflight_batches) +
+            " batches reserved); retry after a stream finishes"));
       }
       // Admitted from the queue; let the new front re-check capacity.
       im.admit_cv.notify_all();
     }
     im.reserved_batches += qd;
     core = std::make_shared<align::SessionCore>(im.index, options, sink,
-                                                im.n_workers, &im.mu,
-                                                &im.work_cv, impl_, im.clock);
-    im.live.push_back(core);
+                                                im.pool, im.clock);
+    im.pool.add_locked(core);
     ++im.retired.streams_opened;
     im.retired.peak_streams = std::max(im.retired.peak_streams,
-                                       static_cast<int>(im.live.size()));
+                                       static_cast<int>(im.live().size()));
   }
-  state->core = core;
   try {
     sink.write_header(align::sam_header_for(im.index, options));
   } catch (const std::exception& e) {
@@ -432,7 +290,10 @@ ServiceStream AlignService::open(const align::DriverOptions& options,
     core->fail(align::Status::internal("unknown error writing SAM header")
                    .with_context("sam-header"));
   }
-  return ServiceStream(std::move(state));
+  return ServiceStream(std::move(core),
+                       [impl = impl_](align::SessionCore& c, bool ok) {
+                         impl->unregister(c, ok);
+                       });
 }
 
 align::Status AlignService::shutdown(std::chrono::milliseconds grace) {
@@ -445,14 +306,14 @@ align::Status AlignService::shutdown(std::chrono::milliseconds grace) {
   // Phase 1: wait up to `grace` for clients to finish their streams
   // (finish() -> unregister() notifies admit_cv as the live set shrinks).
   const auto deadline = im.clock->now() + grace;
-  while (!im.live.empty() && im.clock->now() < deadline)
+  while (!im.live().empty() && im.clock->now() < deadline)
     im.clock->wait_until(im.admit_cv, lk, deadline);
-  if (im.live.empty()) return align::Status();
+  if (im.live().empty()) return align::Status();
 
   // Phase 2: grace expired — cancel the stragglers.  Their handles report
   // kCancelled; their in-flight batches abort at the next stage boundary.
   std::size_t cancelled = 0;
-  for (const auto& core : im.live) {
+  for (const auto& core : im.live()) {
     if (!core->cancel_token().cancelled()) {
       ++im.retired.streams_cancelled;
       ++cancelled;
@@ -478,9 +339,9 @@ ServiceMetrics AlignService::metrics() const {
   if (!impl_) return m;
   std::lock_guard<std::mutex> lk(impl_->mu);
   m = impl_->retired;
-  m.active_streams = static_cast<int>(impl_->live.size());
+  m.active_streams = static_cast<int>(impl_->live().size());
   m.pending_opens = static_cast<int>(impl_->open_queue.size());
-  for (const auto& core : impl_->live) {
+  for (const auto& core : impl_->live()) {
     // Live running totals: records/batches/counters move as batches
     // complete; a session's read count lands when it finishes.
     m.counters += core->stats_snapshot().counters;

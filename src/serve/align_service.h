@@ -1,23 +1,19 @@
 // AlignService — many concurrent streaming sessions over one shared index
-// and one global worker pool.
+// and one shared worker pool.
 //
-// The standalone Stream (align/aligner.h) spawns a dedicated pool per
-// session, which is wrong for a server: S sessions x W workers oversubscribe
-// the machine, and a session's threads sit idle whenever its client stalls.
-// AlignService inverts the ownership:
+// Aligner::open() (align/aligner.h) gives each Stream a private
+// SessionPool; a server with S sessions would then run S pools and
+// oversubscribe the machine.  AlignService runs every admitted session on
+// one SessionPool (align/session.h), the same worker loop an Aligner
+// stream uses, and adds only what a server needs on top of it:
 //
-//   clients ──open()──► ServiceStream ──submit──► per-session SessionCore
-//                                                   (bounded queue, ordered
-//                                                    reassembly, sticky Status)
-//                                                        ▲ pop (fair)
-//                 one global worker pool ───────────────┘
+//   clients ──open()──► Stream ──submit──► per-session SessionCore
+//                                            (bounded queue, ordered
+//                                             reassembly, sticky Status)
+//                                                 ▲ pop (round-robin)
+//                 one shared SessionPool ─────────┘
 //
-//   - One immutable Mem2Index shared by every session; workers keep one
-//     BatchWorkspace each, reused across sessions (it is option-agnostic).
-//   - Fair scheduling: workers scan the live sessions round-robin from a
-//     rotating cursor, taking at most one batch per pick, so a heavy client
-//     cannot starve the others; each session keeps its own bounded queue
-//     and back-pressure.
+//   - One immutable Mem2Index shared by every session.
 //   - Admission control: when max_streams sessions are live or the global
 //     in-flight batch budget (sum of admitted sessions' queue_depth) would
 //     be exceeded, open() either fails fast with kResourceExhausted
@@ -27,7 +23,7 @@
 //   - Deadlines & lifecycle: an optional watchdog (batch_stall_ms) cancels
 //     any session whose in-flight batch stops making progress
 //     (kDeadlineExceeded) while its siblings run on untouched;
-//     ServiceStream::cancel() aborts one session cooperatively at a batch
+//     Stream::cancel() aborts one session cooperatively at a batch
 //     boundary; shutdown(grace) stops admission, waits for live streams to
 //     drain and cancels the stragglers.
 //   - Isolation: a session failure (sticky Status, queue drained, sink left
@@ -39,8 +35,8 @@
 //     per-session in submission order; scheduling order cannot show.
 //
 // Thread contract: the service itself is thread-safe (open() and metrics()
-// from anywhere); each ServiceStream follows the Stream contract of one
-// producer thread.
+// from anywhere); each stream follows the Stream contract of one producer
+// thread.
 #pragma once
 
 #include <chrono>
@@ -116,41 +112,11 @@ struct ServiceMetrics {
   std::string summary() const;
 };
 
-/// One admitted session.  Move-only, same producer contract as Stream.
-/// A default-constructed or rejected handle has ok() == false and reports
-/// its admission Status from every call.
-class ServiceStream {
- public:
-  ServiceStream();  // inert handle: ok() == false
-  ServiceStream(ServiceStream&&) noexcept;
-  ServiceStream& operator=(ServiceStream&&) noexcept;
-  /// Implicitly finishes; call finish() explicitly to observe errors.
-  ~ServiceStream();
-
-  bool ok() const;
-  align::Status status() const;
-
-  align::Status submit(std::vector<seq::Read> chunk);
-  align::Status submit(std::span<const seq::Read> chunk);
-  /// Drain this session's pipeline, flush its sink, release its admission
-  /// reservation and fold its stats into the service aggregates.
-  align::Status finish();
-  /// Cooperatively cancel this session (same contract as Stream::cancel():
-  /// sticky kCancelled, blocked submit() returns, in-flight batch aborts at
-  /// a stage boundary, sink left at a batch boundary).  Siblings sharing
-  /// the pool are unaffected.  Call finish() afterwards as usual.
-  void cancel();
-
-  const align::DriverStats& stats() const;
-  const pair::InsertStats& pair_stats() const;
-  align::StreamMetrics metrics() const;
-
- private:
-  friend class AlignService;
-  struct State;
-  explicit ServiceStream(std::unique_ptr<State> state);
-  std::unique_ptr<State> state_;
-};
+/// One admitted session: the same handle Aligner::open() returns.  A
+/// rejected open gives a handle with ok() == false that reports its
+/// admission Status from every call; finish() releases the session's
+/// admission reservation and folds its stats into the service aggregates.
+using ServiceStream = align::Stream;
 
 class AlignService {
  public:
@@ -158,8 +124,8 @@ class AlignService {
   /// throws: check ok()/status() before use.
   AlignService(const index::Mem2Index& index, ServeOptions options);
   /// Fails every still-open session, drains their queues and joins the
-  /// pool.  Outstanding ServiceStream handles stay safe to call (they
-  /// co-own the service state) and report the shutdown error.
+  /// pool.  Outstanding stream handles stay safe to call (they co-own the
+  /// service state) and report the shutdown error.
   ~AlignService();
 
   AlignService(const AlignService&) = delete;
@@ -189,7 +155,6 @@ class AlignService {
   ServiceMetrics metrics() const;
 
  private:
-  friend class ServiceStream;
   struct Impl;
   std::shared_ptr<Impl> impl_;
   ServeOptions options_;

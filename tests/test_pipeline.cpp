@@ -1,16 +1,27 @@
 // End-to-end pipeline tests — the paper's headline correctness property:
 // the optimized (batch/SIMD/flat-SA/prefetch) driver produces output
-// IDENTICAL to the baseline (read-at-a-time/scalar/compressed) driver; and
+// IDENTICAL to the baseline (read-at-a-time/scalar/compressed) driver, as a
+// seeded randomized oracle (`test_pipeline --seed=N` replays one case); and
 // both actually map simulated reads back to where they came from.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "align/driver.h"
 #include "seq/genome_sim.h"
 #include "seq/read_sim.h"
+#include "util/rng.h"
 
 namespace mem2::align {
+namespace oracle_seed {
+// Set by --seed=N: run only that case of the baseline-vs-batch oracle.
+std::uint64_t g_replay = 0;
+bool g_have_replay = false;
+}  // namespace oracle_seed
+
 namespace {
 
 struct PipelineFixture {
@@ -40,34 +51,96 @@ std::vector<std::string> sam_lines(const std::vector<io::SamRecord>& recs) {
   return lines;
 }
 
+constexpr int kOracleCases = 40;
+constexpr std::uint64_t kOracleBaseSeed = 20261018;
+
+int pick(util::Xoshiro256ss& rng, int lo, int hi) {  // [lo, hi]
+  return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/// One randomized baseline-vs-batch case, drawn entirely from `seed`.
+struct OracleCase {
+  index::Mem2Index index;
+  std::vector<seq::Read> reads;
+  DriverOptions base, batch;
+  std::string shape;  // printed with a failure
+
+  explicit OracleCase(std::uint64_t seed) {
+    util::Xoshiro256ss rng(seed);
+    seq::GenomeConfig g;
+    g.seed = rng();
+    const std::int64_t len = pick(rng, 8, 120) * 1000;
+    g.contig_lengths = {len * 2 / 3, len / 3};
+    g.repeat_fraction = 0.4 * rng.uniform();
+    g.repeat_divergence = 0.01 + 0.09 * rng.uniform();
+    if (rng.chance(0.25)) g.ambiguous_fraction = 0.002;
+    index = index::Mem2Index::build(seq::simulate_genome(g));
+
+    const double err = 0.05 * rng.uniform();
+    const int min_seed = DriverOptions{}.mem.seeding.min_seed_len;
+    // Lengths below, at and just above min_seed_len, then common lengths.
+    const int lengths[] = {1, min_seed - 1, min_seed, min_seed + 1, 36, 76, 101, 151, 250};
+    const int groups = pick(rng, 1, 4);
+    shape = "genome=" + std::to_string(len) + " repeat=" +
+            std::to_string(g.repeat_fraction) + " err=" + std::to_string(err) +
+            " lengths=";
+    for (int k = 0; k < groups; ++k) {
+      seq::ReadSimConfig r;
+      r.seed = rng();
+      // The first group is long enough to map, so every case extends.
+      r.read_length = k == 0 ? lengths[pick(rng, 5, 8)] : lengths[pick(rng, 0, 8)];
+      r.num_reads = pick(rng, 1, 80);
+      r.substitution_rate = err * 0.9;
+      r.insertion_rate = r.deletion_rate = err * 0.05;
+      r.name_prefix = "g" + std::to_string(k) + "_";
+      const auto group = seq::simulate_reads(index.ref(), r);
+      reads.insert(reads.end(), group.begin(), group.end());
+      shape += std::to_string(r.read_length) + "x" + std::to_string(r.num_reads) + " ";
+    }
+
+    base.mode = Mode::kBaseline;
+    batch.mode = Mode::kBatch;
+    batch.batch_size = pick(rng, 1, 300);
+    base.threads = batch.threads = rng.chance(0.5) ? 4 : 1;
+    shape += "batch_size=" + std::to_string(batch.batch_size) +
+             " threads=" + std::to_string(batch.threads);
+  }
+};
+
+// The paper's headline property as a seeded oracle: the scalar baseline
+// driver and the batch driver write identical SAM bodies over random
+// genomes (size, repeat content, N runs), error rates 0-5%, read lengths
+// from 1 bp through min_seed_len to 250 bp, batch sizes and 1 or 4
+// threads.  A failure names its case; `test_pipeline --seed=N` replays it.
 TEST(Pipeline, BaselineAndBatchProduceIdenticalSam) {
-  PipelineFixture fx(120000, 300, 101, 5);
+  std::uint64_t used = 0;
+  const auto one = [&](std::uint64_t seed) {
+    SCOPED_TRACE("replay with: test_pipeline --seed=" + std::to_string(seed));
+    const OracleCase c(seed);
+    SCOPED_TRACE(c.shape);
+    DriverStats s_base, s_batch;
+    const auto lines_base = sam_lines(align_reads(c.index, c.reads, c.base, &s_base));
+    const auto lines_batch = sam_lines(align_reads(c.index, c.reads, c.batch, &s_batch));
+    used += s_batch.extensions_used;
+    ASSERT_EQ(lines_base.size(), lines_batch.size());
+    for (std::size_t i = 0; i < lines_base.size(); ++i)
+      ASSERT_EQ(lines_base[i], lines_batch[i]) << "record " << i;
 
-  DriverOptions base;
-  base.mode = Mode::kBaseline;
-  DriverOptions batch;
-  batch.mode = Mode::kBatch;
-  batch.batch_size = 64;  // multiple batches
-
-  DriverStats s_base, s_batch;
-  const auto sam_base = align_reads(fx.index, fx.reads, base, &s_base);
-  const auto sam_batch = align_reads(fx.index, fx.reads, batch, &s_batch);
-
-  ASSERT_EQ(sam_base.size(), sam_batch.size());
-  const auto lines_base = sam_lines(sam_base);
-  const auto lines_batch = sam_lines(sam_batch);
-  for (std::size_t i = 0; i < lines_base.size(); ++i)
-    ASSERT_EQ(lines_base[i], lines_batch[i]) << "record " << i;
-
-  // The batch driver must have done extra (wasted) extensions — the paper's
-  // ~14% effect — but never fewer than it used.
-  EXPECT_GE(s_batch.extensions_computed, s_batch.extensions_used);
-  EXPECT_GT(s_batch.extensions_used, 0u);
-  EXPECT_EQ(s_base.extensions_computed, s_base.extensions_used);
-  // Both drivers run the same CHAIN code, so they count the same chains.
-  EXPECT_GT(s_base.counters.chains_kept, 0u);
-  EXPECT_EQ(s_base.counters.chains_built, s_batch.counters.chains_built);
-  EXPECT_EQ(s_base.counters.chains_kept, s_batch.counters.chains_kept);
+    // The batch driver may do extra (wasted) extensions — the paper's ~14%
+    // effect — but never fewer than it used; the baseline wastes none.
+    EXPECT_GE(s_batch.extensions_computed, s_batch.extensions_used);
+    EXPECT_EQ(s_base.extensions_computed, s_base.extensions_used);
+    // Both drivers run the same CHAIN code, so they count the same chains.
+    EXPECT_EQ(s_base.counters.chains_built, s_batch.counters.chains_built);
+    EXPECT_EQ(s_base.counters.chains_kept, s_batch.counters.chains_kept);
+  };
+  if (oracle_seed::g_have_replay) {
+    one(oracle_seed::g_replay);
+    return;
+  }
+  for (int k = 0; k < kOracleCases && !::testing::Test::HasFailure(); ++k)
+    one(kOracleBaseSeed + static_cast<std::uint64_t>(k));
+  EXPECT_GT(used, 0u);
 }
 
 TEST(Pipeline, IdenticalAcrossBatchSizes) {
@@ -195,3 +268,17 @@ TEST(Pipeline, HeaderContainsContigsAndProgram) {
 
 }  // namespace
 }  // namespace mem2::align
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg.rfind("--seed=", 0) == 0) {
+      mem2::align::oracle_seed::g_replay = std::strtoull(argv[i] + 7, nullptr, 0);
+      mem2::align::oracle_seed::g_have_replay = true;
+      std::printf("replaying case seed %llu\n",
+                  static_cast<unsigned long long>(mem2::align::oracle_seed::g_replay));
+    }
+  }
+  return RUN_ALL_TESTS();
+}

@@ -239,7 +239,7 @@ TEST(Resilience, DeadlineAndCancelledStatusCodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative cancellation (standalone Stream)
+// Cooperative cancellation (Aligner stream, private pool)
 
 TEST(Resilience, CancelUnblocksSubmitAndLeavesBatchBoundaryPrefix) {
   // queue_depth=1, one worker, third batch wedges on the injected stall:

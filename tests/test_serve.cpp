@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "align/aligner.h"
 #include "io/fastq.h"
@@ -443,6 +444,37 @@ TEST(Serve, ServiceDestroyedBeforeStreamFinish) {
   ServiceStream ok_stream = service.open(stream_options(), sink2);
   EXPECT_TRUE(ok_stream.ok());
   EXPECT_TRUE(ok_stream.finish().ok());
+}
+
+TEST(Serve, BothFrontDoorsWriteIdenticalSam) {
+  // One handle type, one pool: a session opened by Aligner::open (private
+  // pool) and one opened by AlignService::open (shared pool) write the
+  // same bytes, SE and PE, at 1 and 4 workers — and match the 1-worker run.
+  static_assert(std::is_same_v<ServiceStream, align::Stream>);
+  for (const bool paired : {false, true}) {
+    const auto& reads = paired ? fx().pairs : fx().sets[1];
+    std::string reference;
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE(std::string(paired ? "PE" : "SE") +
+                   " workers=" + std::to_string(workers));
+      align::DriverOptions opt = stream_options(paired, 32);
+      opt.pipeline_workers = workers;
+      const std::string solo = solo_sam(reads, opt);
+      if (reference.empty()) reference = solo;
+      EXPECT_EQ(solo, reference);
+
+      ServeOptions sopt;
+      sopt.workers = workers;
+      AlignService service(fx().index, sopt);
+      ASSERT_TRUE(service.ok());
+      std::ostringstream os;
+      align::OstreamSamSink sink(os);
+      ServiceStream stream = service.open(opt, sink);
+      ASSERT_TRUE(stream.ok()) << stream.status().to_string();
+      ASSERT_TRUE(drive(stream, reads, 23).ok());
+      EXPECT_EQ(os.str(), solo);
+    }
+  }
 }
 
 TEST(Serve, ResourceExhaustedStatusRendering) {

@@ -1,11 +1,15 @@
 // Streaming session API (aligner.h): the streaming path must be
 // byte-identical — header and records — to the one-shot align_reads()
 // path for every chunking, thread count and queue depth, including the
-// degenerate empty stream; and construction-time validation must surface
-// as a Status, not a throw.
+// degenerate empty stream; construction-time validation must surface as a
+// Status, not a throw; and the handle's lifecycle (inert default handle,
+// implicit finish on destruction or move-assignment) must join the
+// session's private pool.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "align/aligner.h"
 #include "seq/genome_sim.h"
@@ -262,6 +266,65 @@ TEST(StreamApi, MetricsTrackBatchesRecordsAndQueueDepth) {
   EXPECT_LE(m.queue_hwm, 2u);  // bounded by queue_depth
   EXPECT_GE(m.p99(), m.p50());
   EXPECT_GT(m.p50(), 0.0);
+}
+
+TEST(StreamApi, DefaultHandleIsInert) {
+  const auto& fx = fixture();
+  Stream stream;
+  EXPECT_FALSE(stream.ok());
+  EXPECT_EQ(stream.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(stream.submit(fx.reads).ok());
+  EXPECT_FALSE(stream.submit(std::vector<seq::Read>(fx.reads)).ok());
+  stream.cancel();  // no session: nothing to cancel
+  EXPECT_FALSE(stream.finish().ok());
+  EXPECT_FALSE(stream.finish().ok());
+  EXPECT_EQ(stream.stats().reads, 0u);
+  EXPECT_EQ(stream.metrics().batches, 0u);
+  EXPECT_EQ(stream.status().code(), ErrorCode::kInvalidArgument);
+}
+
+/// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(StreamApi, DestroyedUnfinishedStreamJoinsItsPool) {
+  // A stream dropped mid-session finishes implicitly: the queued batches
+  // drain into the sink, and its private pool is joined — no worker thread
+  // survives the handle, and (under ASan) nothing leaks.
+  const auto& fx = fixture();
+  DriverOptions opt;
+  opt.batch_size = 16;
+  opt.threads = 4;
+  const std::string expected = one_shot_sam(fx.index, fx.reads, opt);
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+
+  std::ostringstream os;
+  {
+    OstreamSamSink sink(os);
+    const Aligner aligner(fx.index, opt);
+    Stream stream = aligner.open(sink);
+    EXPECT_EQ(process_threads(), before + opt.effective_workers());
+    ASSERT_TRUE(stream.submit(fx.reads).ok());
+  }
+  EXPECT_EQ(process_threads(), before);
+  EXPECT_EQ(os.str(), expected);
+
+  // Move-assigning over a live handle finishes the session it held first.
+  std::ostringstream first, second;
+  OstreamSamSink sink1(first), sink2(second);
+  const Aligner aligner(fx.index, opt);
+  Stream stream = aligner.open(sink1);
+  ASSERT_TRUE(stream.submit(fx.reads).ok());
+  stream = aligner.open(sink2);
+  EXPECT_EQ(first.str(), expected);
+  ASSERT_TRUE(stream.finish().ok());
+  EXPECT_EQ(second.str(), aligner.sam_header());
+  EXPECT_EQ(process_threads(), before);
 }
 
 }  // namespace
