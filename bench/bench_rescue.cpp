@@ -84,16 +84,16 @@ MicroResult run_micro(bool smoke) {
   util::Timer t;
   for (int rep = 0; rep < reps; ++rep)
     for (const auto& win : windows)
-      sink += static_cast<std::uint64_t>(pair::scan_rescue_anchors(
-          mate, win, k, pair::kMaxRescueAnchors, ref_anchors));
+      sink = sink + static_cast<std::uint64_t>(pair::scan_rescue_anchors(
+                        mate, win, k, pair::kMaxRescueAnchors, ref_anchors));
   r.ref_us_per_window = t.seconds() * 1e6 / (reps * n_windows);
 
   t.restart();
   for (int rep = 0; rep < reps; ++rep) {
     scanner.build(mate, k, 7);  // charge the build to the rolling side
     for (const auto& win : windows)
-      sink += static_cast<std::uint64_t>(
-          scanner.scan(win, pair::kMaxRescueAnchors, roll_anchors));
+      sink = sink + static_cast<std::uint64_t>(
+                        scanner.scan(win, pair::kMaxRescueAnchors, roll_anchors));
   }
   r.roll_us_per_window = t.seconds() * 1e6 / (reps * n_windows);
   return r;

@@ -578,7 +578,7 @@ int cmd_mem(int argc, char** argv) {
   std::cerr << "[mem2] streaming " << src.fq1
             << (src.fq2.empty() ? "" : " + " + src.fq2) << " ("
             << (opt.mode == align::Mode::kBaseline ? "baseline" : "batch")
-            << (opt.paired ? ", paired" : "") << ", " << opt.effective_workers()
+            << (opt.paired ? ", paired" : "") << ", " << opt.threads
             << " worker(s), batch " << opt.batch_size << ")...\n";
 
   RunObservability obs(a.run);

@@ -102,7 +102,7 @@ std::string Aligner::sam_header() const { return sam_header_for(index_, options_
 Stream Aligner::open(SamSink& sink) const {
   if (!status_.ok()) return Stream(status_);
   sink.write_header(sam_header());
-  auto pool = std::make_shared<SessionPool>(options_.effective_workers());
+  auto pool = std::make_shared<SessionPool>(options_.threads);
   auto core = std::make_shared<SessionCore>(index_, options_, sink, *pool);
   {
     std::lock_guard<std::mutex> lk(pool->mu());

@@ -3,7 +3,7 @@
 // An Aligner is constructed once per (index, options) pair; option
 // validation happens eagerly here and is reported as a Status instead of a
 // mid-run throw.  open() starts a bounded-memory pipelined session on a
-// private SessionPool (session.h) of effective_workers() threads:
+// private SessionPool (session.h) of options.threads workers:
 //
 //   submit(chunk) ─► [bounded batch queue] ─► worker pool ─► ordered writer ─► SamSink
 //                     back-pressure           one persistent    emits batches
@@ -144,9 +144,8 @@ class Aligner {
   std::string sam_header() const;
 
   /// Open a streaming session writing to `sink`.  Writes the header
-  /// immediately, then starts a private pool of
-  /// options.effective_workers() workers.  The sink must outlive the
-  /// stream.
+  /// immediately, then starts a private pool of options.threads workers.
+  /// The sink must outlive the stream.
   Stream open(SamSink& sink) const;
 
   /// One-shot convenience: open -> submit(reads) -> finish.

@@ -9,18 +9,20 @@
 // into batches and every stage runs over the whole batch before the next
 // stage starts; the CP32 index with software prefetching and the flat SA
 // are used; extensions from all reads of the batch are pooled, sorted and
-// fed to the inter-task SIMD BSW; buffers come from per-thread arenas
+// fed to the inter-task SIMD BSW; buffers come from a per-worker workspace
 // reused across batches.
 //
 // Both produce identical SAM bodies — tests/test_pipeline.cpp enforces it.
 //
-// The chunk-level entry points (BatchWorkspace + align_chunk) let a caller
-// own the cross-batch buffers and feed reads incrementally — the streaming
-// Aligner session (aligner.h) is built on them; align_reads() is a one-shot
-// convenience over that session.
+// Both drivers run a chunk on the calling thread and start no threads: the
+// session pool (session.h) is the one source of alignment threads, one
+// whole batch per worker, as in the paper.  The chunk-level entry points
+// (BatchWorkspace + align_chunk) let a caller own the cross-batch buffers
+// and feed reads incrementally — the streaming Aligner session (aligner.h)
+// is built on them; align_reads() is a one-shot convenience over that
+// session.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -47,22 +49,22 @@ enum class Mode { kBaseline, kBatch };
 struct DriverOptions {
   MemOptions mem;
   Mode mode = Mode::kBatch;
+  /// Alignment threads: the streaming session's pool workers, each running
+  /// whole batches.  align_chunk itself ignores it.  Output is invariant
+  /// across values.
   int threads = 1;
   int batch_size = 512;  // reads per batch (batch mode)
-  /// In-flight FM-index walks per thread in the seeding stage (batch mode):
+  /// In-flight FM-index walks per batch in the seeding stage (batch mode):
   /// the SmemExecutor runs this many lanes, one coroutine per lane, round-
   /// robin so one walk's Occ-line misses overlap useful work on the others
   /// (paper §4.3).  1 degenerates to the scalar walk order; output is
   /// invariant across values (tests/test_smem_executor.cpp).
   int smem_inflight = 8;
   bsw::BswBatchOptions bsw;  // sorting / ISA for the SIMD engine
-  /// Streaming session (aligner.h): worker threads running whole batches
-  /// concurrently; 0 follows `threads`.  Output is invariant across values.
-  int pipeline_workers = 0;
   /// Streaming session: bounded depth of the batch queue between submit()
-  /// and the workers — at most (queue_depth + workers) batches are in
+  /// and the workers — at most (queue_depth + threads) batches are in
   /// flight, which bounds resident reads/records to
-  /// O((queue_depth + workers) × batch_size).
+  /// O((queue_depth + threads) × batch_size).
   int queue_depth = 4;
   /// Paired-end mode (batch driver only): reads arrive as adjacent mate
   /// pairs (R1 at even indices, R2 at odd); batch_size must be even so a
@@ -83,10 +85,6 @@ struct DriverOptions {
   /// the stream state) with bounded exponential backoff before surfacing
   /// kIoError.  Default is 1 = no retry, today's fail-stop behavior.
   util::RetryPolicy sink_retry;
-
-  int effective_workers() const {
-    return pipeline_workers > 0 ? pipeline_workers : std::max(1, threads);
-  }
 };
 
 struct DriverStats {
@@ -124,7 +122,7 @@ Status validate_driver_options(const DriverOptions& options);
 /// Cross-batch scratch state of the batch driver (read states, arenas, job
 /// pools, the BswExecutor).  Capacity persists across align_chunk() calls,
 /// so a long-lived workspace performs no steady-state allocations; one
-/// workspace serves one thread of chunk execution at a time.
+/// workspace serves one thread at a time.
 class BatchWorkspace {
  public:
   BatchWorkspace();
@@ -140,7 +138,8 @@ class BatchWorkspace {
 };
 
 /// Align one chunk of reads (any size; split internally into
-/// options.batch_size batches in batch mode) using caller-owned scratch.
+/// options.batch_size batches in batch mode) on the calling thread, using
+/// caller-owned scratch.
 /// per_read is resized to reads.size(); output is independent of how reads
 /// are split into chunks and batches.  Options are assumed pre-validated
 /// (validate_driver_options) — the Aligner session does this once.

@@ -44,8 +44,6 @@ Status validate_driver_options(const DriverOptions& options) {
           options.smem_inflight >= 1 &&
               options.smem_inflight <= smem::SmemExecutor::kMaxInflight,
           "smem_inflight must be in [1, 64]",
-          options.pipeline_workers >= 0,
-          "pipeline_workers must be >= 0 (0 follows threads)",
           options.queue_depth >= 1, "queue depth must be >= 1",
           options.sink_retry.max_attempts >= 1,
           "sink_retry.max_attempts must be >= 1 (1 = no retry)",

@@ -4,10 +4,12 @@
 // Concurrency design:
 //   - The producer carves reads into batch_size batches and enqueues them;
 //     the queue holds at most queue_depth batches, so the producer blocks
-//     instead of buffering unbounded input.
-//   - A pool worker pops one batch, aligns it with its own
-//     BatchWorkspace, then inserts the flattened records into a reorder
-//     buffer keyed by batch sequence number.  Whichever worker completes
+//     instead of buffering unbounded input.  Paired calibration runs on the
+//     producer thread, before the first batch is queued.
+//   - A pool worker pops one batch, aligns it whole on its own thread
+//     with its own BatchWorkspace (the drivers start no threads), then
+//     inserts the flattened records into a reorder buffer keyed by batch
+//     sequence number.  Whichever worker completes
 //     the next-in-order batch drains the buffer to the sink under emit_mu_,
 //     so records always reach the sink in read order.
 //   - Errors are sticky: the first failure is recorded, wakes any blocked
@@ -133,16 +135,10 @@ SessionCore::SessionCore(const index::Mem2Index& index, DriverOptions options,
     : index_(index),
       trace_id_(g_next_trace_id.fetch_add(1, std::memory_order_relaxed)),
       options_(std::move(options)),
-      worker_options_(options_),
       sink_(sink),
       pool_(pool),
       clock_(clock ? clock : &util::Clock::real()),
-      cancel_token_(clock_) {
-  // With several workers available the parallelism comes from concurrent
-  // batches: each batch runs serially inside.  With one worker, behave
-  // exactly like the one-shot driver.
-  if (pool.size() > 1) worker_options_.threads = 1;
-}
+      cancel_token_(clock_) {}
 
 void SessionCore::fail(Status st) {
   {
@@ -368,8 +364,7 @@ void SessionCore::retire_locked() {
 }
 
 void SessionCore::process(SessionWorkItem item, BatchWorkspace& workspace) {
-  // All spans this batch emits (including those from OpenMP threads the
-  // pipeline re-seeds) land in this stream's Chrome lane.
+  // All spans this batch emits land in this stream's Chrome lane.
   util::TraceStreamScope trace_scope(trace_id_);
   const double queue_wait =
       std::chrono::duration<double>(clock_->now() - item.enqueued).count();
@@ -393,7 +388,7 @@ void SessionCore::process(SessionWorkItem item, BatchWorkspace& workspace) {
         throw cancelled_error("injected stall: align.worker.stall");
       }
       std::vector<std::vector<io::SamRecord>> per_read;
-      align_chunk(index_, item.reads, worker_options_,
+      align_chunk(index_, item.reads, options_,
                   options_.paired ? &pe_stats_ : nullptr, workspace, per_read,
                   &batch_stats, &cancel_token_);
 

@@ -6,13 +6,16 @@
 // calibration, ordered reassembly into the session's SamSink, the sticky
 // Status, per-session DriverStats and the StreamMetrics observability
 // block.  A SessionPool owns the threads: one worker loop that scans its
-// live cores round-robin and runs one batch per pick.  Every core belongs
-// to exactly one pool and queues under the pool's mutex and work condition
-// variable, so a worker sees all of its sessions' queues under one lock.
-// The two deployment shapes differ only in how many cores share a pool:
+// live cores round-robin and runs one whole batch per pick.  The pool is
+// the only source of alignment threads — align_chunk runs a batch on the
+// worker that picked it and starts none (the paper's batch-per-thread
+// model).  Every core belongs to exactly one pool and queues under the
+// pool's mutex and work condition variable, so a worker sees all of its
+// sessions' queues under one lock.  The two deployment shapes differ only
+// in how many cores share a pool:
 //
-//   - Aligner::open() (aligner.h): a private pool of effective_workers()
-//     threads serving one core, stopped when the Stream finishes.
+//   - Aligner::open() (aligner.h): a private pool of options.threads
+//     workers serving one core, stopped when the Stream finishes.
 //   - serve::AlignService: one pool over every admitted session.
 //
 // Producer calls (submit/close/wait_drained/finalize) are single-threaded
@@ -134,11 +137,9 @@ class SessionPool {
 
 class SessionCore {
  public:
-  /// The core queues under `pool`'s mutex and work cv; the pool's size
-  /// decides whether a batch parallelizes internally (one worker, like the
-  /// one-shot driver) or stays serial per batch.  `clock` (null = real)
-  /// drives batch latency timestamps and the cancel token's heartbeats, so
-  /// deadline behavior is testable with a FakeClock.
+  /// The core queues under `pool`'s mutex and work cv.  `clock` (null =
+  /// real) drives batch latency timestamps and the cancel token's
+  /// heartbeats, so deadline behavior is testable with a FakeClock.
   SessionCore(const index::Mem2Index& index, DriverOptions options,
               SamSink& sink, SessionPool& pool, util::Clock* clock = nullptr);
 
@@ -211,7 +212,6 @@ class SessionCore {
   const index::Mem2Index& index_;
   const std::uint32_t trace_id_;
   const DriverOptions options_;
-  DriverOptions worker_options_;  // threads=1 when the pool supplies >1
   SamSink& sink_;
   SessionPool& pool_;
   util::Clock* clock_;        // before cancel_token_: the token borrows it

@@ -24,14 +24,14 @@
 //   3. extend:   every anchor becomes a left-extension job, then a
 //                right-extension job with the left score as h0 — two of
 //                the batch driver's pooled BSW rounds, the same primitive
-//                that runs seed extension, spliced in pair order;
+//                that runs seed extension, enumerated in pair order;
 //   4. finalize: the best-scoring anchor (ties: smaller window offset)
 //                whose score reaches min_seed_len * a becomes a new AlnReg
 //                on the rescued mate, flagged `rescued`.
 //
 // Everything here is deterministic: windows depend only on the pair's own
 // regions and the session-wide insert stats; anchors are scanned in window
-// order; job pools are spliced in pair order.
+// order; job pools are enumerated in pair order.
 #pragma once
 
 #include <array>
@@ -72,14 +72,14 @@ void satisfied_dirs(idx_t l_pac, idx_t b1, std::span<const idx_t> mate_rb,
 
 /// One rescue attempt: a window of one orientation class for one mate of a
 /// pair, with its reference bases and surviving anchors.  The bases are
-/// views into the harvesting block's RescueWindowBuffers, valid until its
-/// next reset().
+/// views into the batch's RescueWindowBuffers, valid until its next
+/// reset().
 ///
 /// Repeat-heavy references produce near-tie anchor regions whose rescue
 /// windows are byte-identical; the driver dedups them by content
 /// fingerprint before BSW job pooling.  A duplicate attempt carries
 /// dup_of >= 0 (the index of the content-identical canonical attempt in the
-/// spliced batch list): it views the canonical attempt's bases, its
+/// batch's attempt list): it views the canonical attempt's bases, its
 /// anchors are copies, it contributes no BSW jobs, and the canonical
 /// attempt's extension results are replayed into it before finalize — so
 /// dedup never changes output, only work.
@@ -89,13 +89,13 @@ struct RescueAttempt {
   bool is_rev = false;
   int rid = -1;
   idx_t win_rb = 0;
-  std::int32_t dup_of = -1;  // spliced index of the canonical attempt
+  std::int32_t dup_of = -1;  // batch index of the canonical attempt
   std::span<const seq::Code> win, win_rev;  // bases and their reversal
   std::array<RescueAnchor, kMaxRescueAnchors> anchors;
   int n_anchors = 0;
 };
 
-/// Rescue-window storage of one harvest block, allocation-free once warm:
+/// Rescue-window storage of one batch's harvest, allocation-free once warm:
 /// capacity persists across mates and batches.  Each window is fetched
 /// with its reversal in one pass into a staging slot; the harvest then
 /// either finds it duplicates an earlier window of the same mate (content
@@ -115,8 +115,8 @@ class RescueWindowBuffers {
   /// The earlier window of this mate the staged one duplicates: nullopt if
   /// none, else its attempt index (-1 for a window kept without anchors).
   std::optional<std::int32_t> find_duplicate() const;
-  /// Keep the staged window for the batch as attempt `index` of the block,
-  /// pointing at.win / at.win_rev at the copy.
+  /// Keep the staged window for the batch as attempt `index`, pointing
+  /// at.win / at.win_rev at the copy.
   void keep(RescueAttempt& at, std::int32_t index);
   /// Keep the staged window's bases for this mate's dedup only.
   void keep_anchorless();

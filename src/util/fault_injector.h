@@ -26,8 +26,8 @@
 //   align.worker       align/session.cpp process()        invariant_error
 //   align.worker.stall align/session.cpp process()        blocks the batch until
 //                      the session is cancelled (watchdog / cancel tests)
-//   align.batch        align/pipeline_batch.cpp region    invariant_error
-//                      replay loop (inside an OpenMP worker)
+//   align.batch        align/pipeline_batch.cpp replay    invariant_error
+//                      loop, align/pipeline_baseline.cpp per read
 //
 // Arming is not thread-safe against in-flight fault points; arm/disarm
 // while the pipeline is quiescent (tests do).

@@ -150,36 +150,6 @@ void PromWriter::histogram(std::string_view name, std::string_view help,
 
 // ------------------------------------------------------- SwCounters mapping
 
-const std::vector<SwCounterField>& sw_counter_fields() {
-  static const std::vector<SwCounterField> fields = {
-      {"occ_bucket_loads", &SwCounters::occ_bucket_loads},
-      {"backward_exts", &SwCounters::backward_exts},
-      {"forward_exts", &SwCounters::forward_exts},
-      {"prefetches", &SwCounters::prefetches},
-      {"smems_found", &SwCounters::smems_found},
-      {"sa_lookups", &SwCounters::sa_lookups},
-      {"sa_lf_steps", &SwCounters::sa_lf_steps},
-      {"sa_memory_loads", &SwCounters::sa_memory_loads},
-      {"chains_built", &SwCounters::chains_built},
-      {"chains_kept", &SwCounters::chains_kept},
-      {"bsw_pairs", &SwCounters::bsw_pairs},
-      {"bsw_cells_total", &SwCounters::bsw_cells_total},
-      {"bsw_cells_useful", &SwCounters::bsw_cells_useful},
-      {"bsw_aborted_pairs", &SwCounters::bsw_aborted_pairs},
-      {"cigar_gapless", &SwCounters::cigar_gapless},
-      {"cigar_dp_cells", &SwCounters::cigar_dp_cells},
-      {"io_records_skipped", &SwCounters::io_records_skipped},
-      {"pe_rescue_windows", &SwCounters::pe_rescue_windows},
-      {"pe_rescue_win_skipped", &SwCounters::pe_rescue_win_skipped},
-      {"pe_rescue_win_deduped", &SwCounters::pe_rescue_win_deduped},
-      {"pe_rescue_jobs", &SwCounters::pe_rescue_jobs},
-      {"pe_rescue_hits", &SwCounters::pe_rescue_hits},
-      {"pe_rescued_pairs", &SwCounters::pe_rescued_pairs},
-      {"pe_proper_pairs", &SwCounters::pe_proper_pairs},
-  };
-  return fields;
-}
-
 void write_sw_counters(PromWriter& w, const SwCounters& c,
                        std::string_view labels) {
   for (const auto& f : sw_counter_fields()) {

@@ -88,16 +88,8 @@ class PromWriter {
   std::vector<std::string> emitted_;
 };
 
-/// One row of the SwCounters→Prometheus field table: exposition name
-/// (without the `mem2_sw_` prefix / `_total` suffix) plus the member it
-/// reads.  Exposed so tests can assert the mapping is total.
-struct SwCounterField {
-  const char* name;
-  std::uint64_t SwCounters::*member;
-};
-const std::vector<SwCounterField>& sw_counter_fields();
-
-/// Render every SwCounters field as `mem2_sw_<field>_total`.
+/// Render every SwCounters field (util::sw_counter_fields) as
+/// `mem2_sw_<field>_total`.
 void write_sw_counters(PromWriter& w, const SwCounters& c,
                        std::string_view labels = {});
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace mem2::util {
@@ -53,14 +54,26 @@ struct SwCounters {
   std::uint64_t pe_rescued_pairs = 0;   // proper pairs whose chosen region came from rescue
   std::uint64_t pe_proper_pairs = 0;    // pairs emitted with the proper-pair flag
 
-  /// Merge/aggregate helper: sessions sum their per-thread captures with it,
+  /// Merge/aggregate helper: sessions sum their per-batch captures with it,
   /// and the serve layer folds per-session counters into its service-wide
-  /// snapshot.  Field-for-field addition, so bench JSON stays stable.
+  /// snapshot.  Field-for-field, like every operation below: each walks
+  /// sw_counter_fields().
   SwCounters& operator+=(const SwCounters& o);
   SwCounters& operator-=(const SwCounters& o);
+  bool operator==(const SwCounters&) const = default;
   void reset() { *this = SwCounters{}; }
+  /// "name=value" per field, space-separated, in table order.
   std::string summary() const;
 };
+
+/// One row of the SwCounters field table: the member's name (also its
+/// summary() key and Prometheus name, `mem2_sw_<name>_total`) and the
+/// member.  tests/test_metrics.cpp checks the table covers the struct.
+struct SwCounterField {
+  const char* name;
+  std::uint64_t SwCounters::*member;
+};
+std::span<const SwCounterField> sw_counter_fields();
 
 inline SwCounters operator-(SwCounters a, const SwCounters& b) {
   a -= b;

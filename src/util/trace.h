@@ -20,7 +20,6 @@
 // (duration minus the stage spans nested in it) to that table.  The table
 // therefore has one unit, the calling thread's wall seconds, and sums to
 // the call's wall time: MISC is exactly the time no other stage claims.
-// OpenMP worker threads bind no table, so their stage spans only trace.
 //
 // Export is snapshot-at-quiescence: call write_chrome_trace() after the
 // traced work has drained (end of run, after Stream::finish /
@@ -114,8 +113,7 @@ class Tracer {
 // ------------------------------------------------------ stream-id context
 
 /// Current thread's stream id for span attribution (Chrome pid lane).
-/// Session workers set it around batch processing; OpenMP regions inside
-/// the pipeline re-seed it from the orchestrating thread's value.
+/// Session workers set it around batch processing.
 std::uint32_t trace_stream_id();
 void set_trace_stream_id(std::uint32_t pid);
 

@@ -178,24 +178,27 @@ TEST(FaultInjector, WorkerFaultUnblocksSubmitAndReportsContext) {
   EXPECT_EQ(os2.str(), one_shot_sam(opt));
 }
 
-TEST(FaultInjector, BatchReplayFaultCrossesTheOmpRegion) {
-  // The align.batch point sits inside an OpenMP worksharing loop; an
-  // escaping exception there would terminate the process.  The guard must
-  // carry it out to the worker's Status boundary instead.
-  align::DriverOptions opt;
-  opt.mode = align::Mode::kBatch;
-  opt.batch_size = 32;
-  opt.threads = 4;
+TEST(FaultInjector, BatchFaultSurfacesAsStatus) {
+  // The align.batch point fires per read inside both drivers' chunk loops
+  // (the batch driver's replay stage, the baseline's read loop); the
+  // exception must reach the worker's Status boundary, never terminate.
+  for (const align::Mode mode : {align::Mode::kBatch, align::Mode::kBaseline}) {
+    SCOPED_TRACE(mode == align::Mode::kBatch ? "batch" : "baseline");
+    align::DriverOptions opt;
+    opt.mode = mode;
+    opt.batch_size = 32;
+    opt.threads = 4;
 
-  ArmedFault fault("align.batch");
-  align::CollectSamSink sink;
-  const align::Aligner aligner(fx().index, opt);
-  ASSERT_TRUE(aligner.ok());
-  const align::Status st = aligner.align(fx().reads, sink);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), align::ErrorCode::kInternal);
-  EXPECT_NE(st.message().find("injected fault: align.batch"), std::string::npos)
-      << st.message();
+    ArmedFault fault("align.batch");
+    align::CollectSamSink sink;
+    const align::Aligner aligner(fx().index, opt);
+    ASSERT_TRUE(aligner.ok());
+    const align::Status st = aligner.align(fx().reads, sink);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), align::ErrorCode::kInternal);
+    EXPECT_NE(st.message().find("injected fault: align.batch"), std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(FaultInjector, SamWriteSurfacesAsIoErrorAtEmitStage) {

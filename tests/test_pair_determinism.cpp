@@ -1,9 +1,9 @@
-// Paired-end determinism: the SAM byte stream — and the paired-end
-// counters — must be identical across thread counts, pipeline workers,
-// submit chunkings and batch sizes.  The insert-size prior is estimated
-// once from a fixed submission-order prefix, rescue job pools are spliced
-// in pair order, and every batch is pair-independent given the prior, so
-// nothing in the paired path may depend on scheduling.
+// Paired-end determinism: the SAM byte stream — and every software
+// counter — must be identical across session worker counts, submit
+// chunkings and batch sizes.  The insert-size prior is estimated once from
+// a fixed submission-order prefix, rescue job pools are enumerated in pair
+// order, and every batch is pair-independent given the prior, so nothing
+// in the paired path may depend on scheduling.
 #include <gtest/gtest.h>
 
 #include "align/aligner.h"
@@ -47,6 +47,7 @@ struct Fixture {
 struct RunOut {
   std::vector<std::string> sam;
   util::SwCounters counters;
+  std::uint64_t extensions_computed = 0, extensions_used = 0;
 };
 
 /// Align through the streaming session, submitting in `chunk` read chunks.
@@ -64,36 +65,35 @@ RunOut run_paired(const Fixture& fx, DriverOptions opt, std::size_t chunk_reads)
   EXPECT_TRUE(stream.finish().ok());
   RunOut run;
   run.counters = stream.stats().counters;
+  run.extensions_computed = stream.stats().extensions_computed;
+  run.extensions_used = stream.stats().extensions_used;
   for (const auto& rec : sink.records()) run.sam.push_back(rec.to_line());
   return run;
 }
 
-TEST(PairDeterminism, IdenticalAcrossThreadCounts) {
+TEST(PairDeterminism, IdenticalAcrossWorkerCounts) {
   Fixture fx;
   RunOut ref;
-  // Odd counts too: the rescue rounds split attempts into one block per
-  // thread and splice the blocks in order.
-  for (int threads : {1, 2, 5, 8}) {
+  for (int workers : {1, 2, 5, 8}) {
     DriverOptions opt = fx.base_options();
-    opt.threads = threads;
-    opt.pipeline_workers = 1;  // isolate the intra-batch threading knob
-    RunOut run = run_paired(fx, opt, fx.reads.size());
+    opt.threads = workers;
+    RunOut run = run_paired(fx, opt, 64);
     ASSERT_GT(run.counters.pe_proper_pairs, 0u);
     ASSERT_GT(run.counters.pe_rescue_jobs, 0u);  // rescue actually exercised
-    if (threads == 1) {
+    if (workers == 1) {
       ref = std::move(run);
       continue;
     }
-    ASSERT_EQ(run.sam, ref.sam) << "threads=" << threads;
-    EXPECT_EQ(run.counters.pe_rescue_windows, ref.counters.pe_rescue_windows);
-    EXPECT_EQ(run.counters.pe_rescue_jobs, ref.counters.pe_rescue_jobs);
-    EXPECT_EQ(run.counters.pe_rescue_hits, ref.counters.pe_rescue_hits);
-    EXPECT_EQ(run.counters.pe_rescued_pairs, ref.counters.pe_rescued_pairs);
-    EXPECT_EQ(run.counters.pe_proper_pairs, ref.counters.pe_proper_pairs);
+    ASSERT_EQ(run.sam, ref.sam) << "workers=" << workers;
+    EXPECT_TRUE(run.counters == ref.counters)
+        << "workers=" << workers << "\n  got " << run.counters.summary()
+        << "\n  ref " << ref.counters.summary();
+    EXPECT_EQ(run.extensions_computed, ref.extensions_computed) << "workers=" << workers;
+    EXPECT_EQ(run.extensions_used, ref.extensions_used) << "workers=" << workers;
   }
 }
 
-TEST(PairDeterminism, IdenticalAcrossWorkersChunksAndBatches) {
+TEST(PairDeterminism, IdenticalAcrossChunksAndBatches) {
   Fixture fx;
   const RunOut ref = run_paired(fx, fx.base_options(), fx.reads.size());
   ASSERT_GT(ref.counters.pe_proper_pairs, 0u);
@@ -110,18 +110,11 @@ TEST(PairDeterminism, IdenticalAcrossWorkersChunksAndBatches) {
     const RunOut run = run_paired(fx, opt, fx.reads.size());
     ASSERT_EQ(run.sam, ref.sam) << "batch=" << batch;
   }
-  // Concurrent pipeline workers with the ordered writer.
-  for (int workers : {2, 4}) {
-    DriverOptions opt = fx.base_options();
-    opt.pipeline_workers = workers;
-    const RunOut run = run_paired(fx, opt, 64);
-    ASSERT_EQ(run.sam, ref.sam) << "workers=" << workers;
-    EXPECT_EQ(run.counters.pe_proper_pairs, ref.counters.pe_proper_pairs);
-  }}
+}
 
 TEST(PairDeterminism, RescueSkipOffIsInvariantAndCountPreserving) {
   // With skipping disabled every window is scanned (the pre-skip
-  // behavior): output must still be invariant across threads, chunkings
+  // behavior): output must still be invariant across workers, chunkings
   // and batch sizes, and enabling skipping may drop windows but must not
   // change proper-pair or rescued-pair counts.
   Fixture fx;
@@ -131,12 +124,11 @@ TEST(PairDeterminism, RescueSkipOffIsInvariantAndCountPreserving) {
   ASSERT_GT(ref.counters.pe_rescue_jobs, 0u);
   EXPECT_EQ(ref.counters.pe_rescue_win_skipped, 0u);
 
-  for (int threads : {2, 8}) {
+  for (int workers : {2, 8}) {
     DriverOptions opt = off;
-    opt.threads = threads;
-    opt.pipeline_workers = 1;
+    opt.threads = workers;
     const RunOut run = run_paired(fx, opt, fx.reads.size());
-    ASSERT_EQ(run.sam, ref.sam) << "skip off, threads=" << threads;
+    ASSERT_EQ(run.sam, ref.sam) << "skip off, workers=" << workers;
   }
   for (std::size_t chunk : {7ul, 64ul}) {
     const RunOut run = run_paired(fx, off, chunk);

@@ -458,7 +458,7 @@ TEST(Serve, BothFrontDoorsWriteIdenticalSam) {
       SCOPED_TRACE(std::string(paired ? "PE" : "SE") +
                    " workers=" + std::to_string(workers));
       align::DriverOptions opt = stream_options(paired, 32);
-      opt.pipeline_workers = workers;
+      opt.threads = workers;
       const std::string solo = solo_sam(reads, opt);
       if (reference.empty()) reference = solo;
       EXPECT_EQ(solo, reference);

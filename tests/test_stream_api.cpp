@@ -308,7 +308,7 @@ TEST(StreamApi, DestroyedUnfinishedStreamJoinsItsPool) {
     OstreamSamSink sink(os);
     const Aligner aligner(fx.index, opt);
     Stream stream = aligner.open(sink);
-    EXPECT_EQ(process_threads(), before + opt.effective_workers());
+    EXPECT_EQ(process_threads(), before + opt.threads);
     ASSERT_TRUE(stream.submit(fx.reads).ok());
   }
   EXPECT_EQ(process_threads(), before);

@@ -380,9 +380,9 @@ TEST(StageClock, BooksSelfTimeIntoTheBoundTableOnly) {
   EXPECT_GE(table[Stage::kMisc], 700e-6);  // 500 us spin + the 200 us thread
 }
 
-// Driver stage accounting: DriverStats::stages is the calling thread's wall
-// seconds, so it sums to the externally timed align_chunk call at every
-// thread count, in both drivers and in paired mode.
+// Driver stage accounting: align_chunk runs on the calling thread and
+// DriverStats::stages is that thread's wall seconds, so it sums to the
+// externally timed call, in both drivers and in paired mode.
 struct DriverFixture {
   index::Mem2Index index;
   std::vector<seq::Read> se, pe;
@@ -418,10 +418,9 @@ const DriverFixture& driver_fx() {
 
 enum class Driver { kSingle, kPaired, kBaseline };
 
-align::DriverStats timed_chunk(Driver driver, int threads, double* wall) {
+align::DriverStats timed_chunk(Driver driver, double* wall) {
   const DriverFixture& fx = driver_fx();
   align::DriverOptions opt;
-  opt.threads = threads;
   opt.batch_size = 128;
   opt.mode = driver == Driver::kBaseline ? align::Mode::kBaseline : align::Mode::kBatch;
   opt.paired = driver == Driver::kPaired;
@@ -436,14 +435,13 @@ align::DriverStats timed_chunk(Driver driver, int threads, double* wall) {
   return stats;
 }
 
-class StageAccounting
-    : public ::testing::TestWithParam<std::tuple<Driver, int>> {};
+class StageAccounting : public ::testing::TestWithParam<Driver> {};
 
 TEST_P(StageAccounting, StagesSumToChunkWallAndEveryRunStageIsTimed) {
-  const auto [driver, threads] = GetParam();
+  const Driver driver = GetParam();
   Tracer::instance().disable();
   double wall = 0;
-  const align::DriverStats stats = timed_chunk(driver, threads, &wall);
+  const align::DriverStats stats = timed_chunk(driver, &wall);
   const StageTimes& st = stats.stages;
   EXPECT_NEAR(st.total(), wall, 0.02 * wall);
 
@@ -457,17 +455,14 @@ TEST_P(StageAccounting, StagesSumToChunkWallAndEveryRunStageIsTimed) {
   }
 }
 
-std::string accounting_case_name(
-    const ::testing::TestParamInfo<std::tuple<Driver, int>>& info) {
+std::string accounting_case_name(const ::testing::TestParamInfo<Driver>& info) {
   const char* names[] = {"single", "paired", "baseline"};
-  return std::string(names[static_cast<int>(std::get<0>(info.param))]) + "_" +
-         std::to_string(std::get<1>(info.param)) + "t";
+  return std::string(names[static_cast<int>(info.param)]) + "_1t";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DriversAndThreads, StageAccounting,
-    ::testing::Combine(::testing::Values(Driver::kSingle, Driver::kPaired, Driver::kBaseline),
-                       ::testing::Values(1, 4)),
+    ::testing::Values(Driver::kSingle, Driver::kPaired, Driver::kBaseline),
     accounting_case_name);
 
 TEST(StageAccounting, BatchBswStageEqualsTheTracedBswSpan) {
@@ -476,7 +471,7 @@ TEST(StageAccounting, BatchBswStageEqualsTheTracedBswSpan) {
   for (Driver driver : {Driver::kSingle, Driver::kPaired}) {
     tracer.enable();
     double wall = 0;
-    const align::DriverStats stats = timed_chunk(driver, 1, &wall);
+    const align::DriverStats stats = timed_chunk(driver, &wall);
     tracer.disable();
     const double traced = agg_seconds(Stage::kBsw);
     EXPECT_GT(traced, 0.0);
@@ -489,7 +484,7 @@ TEST(StageAccounting, BaselineBswPreExcludesNestedBsw) {
   tracer.set_ring_capacity(std::size_t{1} << 12);
   tracer.enable();
   double wall = 0;
-  const align::DriverStats stats = timed_chunk(Driver::kBaseline, 1, &wall);
+  const align::DriverStats stats = timed_chunk(Driver::kBaseline, &wall);
   tracer.disable();
   // Per read, the scalar ksw calls are BSW spans nested in the BSW-PRE
   // span; the table keeps BSW-PRE's self time.
