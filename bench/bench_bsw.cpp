@@ -9,8 +9,9 @@
 // Table 7 (paper): instructions 1385G -> 100G (13.85x), IPC 3.14 -> 2.17.
 // Without VTune we report the software proxies (DP cells, useful fraction)
 // plus perf_event counters when the container allows them.
-#include <thread>
-
+//
+// Every row runs on this thread; thread scaling is bench_scaling's
+// session-pool sweep (Figure 4).
 #include "bench_common.h"
 #include "bsw/bsw_executor.h"
 #include "job_harvest.h"
@@ -45,24 +46,6 @@ Run run_scalar(const std::vector<bsw::ExtendJob>& jobs, const bsw::KswParams& p)
   return run;
 }
 
-Run run_executor(const std::vector<bsw::ExtendJob>& jobs, const bsw::KswParams& p,
-                 int threads) {
-  util::tls_counters().reset();
-  bsw::BswExecutor ex(threads);
-  std::vector<bsw::KswResult> out;
-  ex.run(jobs, out, p, {}, nullptr);  // warm the persistent workspace
-  Run run;
-  run.seconds = 1e30;
-  for (int rep = 0; rep < 3; ++rep) {  // steady state: no allocations
-    util::Timer t;
-    ex.run(jobs, out, p, {}, nullptr);
-    run.seconds = std::min(run.seconds, t.seconds());
-  }
-  run.ctr = util::tls_counters();
-  run.checksum = ksw_checksum(out);
-  return run;
-}
-
 Run run_simd(const std::vector<bsw::ExtendJob>& jobs, const bsw::KswParams& p,
              bool force16, bool sort) {
   util::tls_counters().reset();
@@ -70,12 +53,12 @@ Run run_simd(const std::vector<bsw::ExtendJob>& jobs, const bsw::KswParams& p,
   bsw::BswBatchOptions opt;
   opt.force_16bit = force16;
   opt.sort_by_length = sort;
-  static bsw::BswExecutor serial(1);  // workspace stays warm across rows
+  static bsw::BswExecutor executor;  // workspace stays warm across rows
   Run run;
   util::Timer t;
   perf.start();
   std::vector<bsw::KswResult> out;
-  serial.run(jobs, out, p, opt, nullptr);
+  executor.run(jobs, out, p, opt, nullptr);
   run.hw = perf.stop();
   run.seconds = t.seconds();
   run.ctr = util::tls_counters();
@@ -135,32 +118,6 @@ int main() {
                    {bench::fmt(v16_nosort.seconds / v16_sort.seconds, 2) + "x", ""});
   bench::print_row("sorting benefit 8-bit (paper 1.7x)",
                    {bench::fmt(v8_nosort.seconds / v8_sort.seconds, 2) + "x", ""});
-
-  // Parallel executor vs the serial batched path, same auto-split job pool.
-  {
-    const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    bench::print_header("BswExecutor: parallel chunk dispatch vs serial (hw threads: " +
-                        std::to_string(hw) + ")");
-    const Run serial = run_executor(jobs, mopt.ksw, 1);
-    bench::print_row("Configuration", {"time (s)", "speedup", "identical"});
-    bench::print_row("serial executor x1", {bench::fmt(serial.seconds, 3), "1.00x", "-"});
-    std::vector<int> sweep = {2, 4};
-    if (hw > 4) sweep.push_back(hw);
-    bool all_identical = true;
-    for (int threads : sweep) {
-      const Run r = run_executor(jobs, mopt.ksw, threads);
-      const bool same = r.checksum == serial.checksum;
-      all_identical &= same;
-      bench::print_row(("executor x" + std::to_string(threads)).c_str(),
-                       {bench::fmt(r.seconds, 3),
-                        bench::fmt(serial.seconds / r.seconds, 2) + "x",
-                        same ? "yes" : "NO"});
-    }
-    if (!all_identical) {
-      std::printf("ERROR: executor results differ from the serial executor!\n");
-      return 1;
-    }
-  }
 
   bench::print_header("Table 7: BSW instruction profile, scalar vs 8-bit SIMD");
   bench::print_row("Counter", {"scalar", "8-bit SIMD"});

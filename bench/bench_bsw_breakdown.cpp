@@ -33,7 +33,7 @@ int main() {
       opt.isa = isa;
       opt.force_16bit = force16;
       // Best of three runs (least total), on a warm executor workspace.
-      bsw::BswExecutor executor(1);
+      bsw::BswExecutor executor;
       std::vector<bsw::KswResult> out;
       bsw::BswBatchStats stats;
       for (int rep = 0; rep < 3; ++rep) {

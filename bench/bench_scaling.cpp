@@ -1,60 +1,26 @@
 // Figure 4 reproduction: thread scaling of the three kernels and of the
-// whole application, original vs optimized, on the D1 and D5 analogs —
-// plus a dedicated BSW-thread sweep of the parallel BswExecutor against
-// the serial BswExecutor(1) path, emitted as BENCH_bsw_scaling.json so the
-// perf trajectory is machine-readable.
+// whole application, original vs optimized, on the D1 and D5 analogs, plus
+// the batch driver's SMEM stage against its interleave depth K.
 //
 // Paper reference: near-linear kernel scaling to 28 cores; whole-app
 // scaling 20-22x because the unoptimized Misc components are bandwidth
 // bound.  Both drivers run on N session pool workers, each taking whole
 // batches, as bwa-mem2 does.  DriverStats sums each batch's stage seconds
 // over the workers, so a stage's per-worker seconds are its sum / N, and
-// its speedup is the 1-worker seconds over that.  The dataset must hold at
-// least N batches (batch_size 512) for N workers to all have work.  NOTE:
-// small hosts expose few hardware threads; the sweep still runs and shows
-// how the curve degenerates — counts beyond the hardware oversubscribe.
+// its speedup is the 1-worker seconds over that.  A worker count above the
+// dataset's batch count (ceil(reads / batch_size)) would leave workers idle
+// and read superlinear, so each sweep stops there and prints what it
+// skipped.  NOTE: small hosts expose few hardware threads; the sweep still
+// runs and shows how the curve degenerates — counts beyond the hardware
+// oversubscribe.
 #include <algorithm>
 #include <cstdio>
 #include <thread>
 
 #include "align/aligner.h"
 #include "bench_common.h"
-#include "bsw/bsw_executor.h"
-#include "job_harvest.h"
 
 using namespace mem2;
-
-namespace {
-
-using bench::ksw_checksum;
-
-struct SweepPoint {
-  int threads;
-  double seconds;
-  std::uint64_t checksum;
-};
-
-/// BswExecutor thread sweep on harvested jobs; returns one point per count.
-std::vector<SweepPoint> sweep_bsw_threads(const std::vector<bsw::ExtendJob>& jobs,
-                                          const bsw::KswParams& params,
-                                          const std::vector<int>& counts) {
-  std::vector<SweepPoint> points;
-  for (int threads : counts) {
-    bsw::BswExecutor ex(threads);
-    std::vector<bsw::KswResult> out;
-    ex.run(jobs, out, params);  // warm-up: grows the persistent workspace
-    double best = 1e30;
-    for (int rep = 0; rep < 3; ++rep) {
-      util::Timer t;
-      ex.run(jobs, out, params);
-      best = std::min(best, t.seconds());
-    }
-    points.push_back({threads, best, ksw_checksum(out)});
-  }
-  return points;
-}
-
-}  // namespace
 
 int main() {
   const auto index = bench::bench_index();
@@ -65,8 +31,12 @@ int main() {
 
   for (const char* which : {"D1", "D5"}) {
     const auto ds = bench::bench_dataset(index, which[1] == '1' ? 0 : 4);
+    const std::size_t batch_size =
+        static_cast<std::size_t>(align::DriverOptions{}.batch_size);
+    const int batches = static_cast<int>((ds.reads.size() + batch_size - 1) / batch_size);
     bench::print_header(std::string("Figure 4: scaling on ") + which + " (" +
-                        std::to_string(ds.reads.size()) + " reads, hw threads: " +
+                        std::to_string(ds.reads.size()) + " reads, " +
+                        std::to_string(batches) + " batches, hw threads: " +
                         std::to_string(hw) + ")");
     bench::print_row("threads",
                      {"orig e2e", "opt e2e", "orig spd", "opt spd", "SMEM spd",
@@ -74,7 +44,12 @@ int main() {
 
     double base_orig = 0, base_opt = 0;
     util::StageTimes base_stages;
+    std::string skipped;
     for (int threads : thread_counts) {
+      if (threads > batches) {
+        skipped += (skipped.empty() ? "" : ", ") + std::to_string(threads);
+        continue;
+      }
       align::DriverOptions o_base, o_opt;
       o_base.mode = align::Mode::kBaseline;
       o_opt.mode = align::Mode::kBatch;
@@ -108,6 +83,9 @@ int main() {
                         bench::fmt(spd(util::Stage::kSal), 2) + "x",
                         bench::fmt(spd(util::Stage::kBsw), 2) + "x"});
     }
+    if (!skipped.empty())
+      std::printf("skipped worker counts %s: more workers than the %d batches\n",
+                  skipped.c_str(), batches);
   }
 
   // --- SMEM interleave sweep: batch-driver SMEM stage time vs K ---
@@ -136,73 +114,5 @@ int main() {
     }
   }
 
-  // --- BswExecutor thread sweep -> BENCH_bsw_scaling.json ---
-  {
-    align::MemOptions mopt;
-    const auto d3 = bench::bench_dataset(index, 2);
-    auto harvested = bench::harvest_bsw_jobs(index, d3.reads, mopt);
-    auto& jobs = harvested.jobs;
-    bench::replicate_jobs(jobs, 4);
-
-    double serial_seconds = 1e30;
-    std::uint64_t serial_checksum = 0;
-    {
-      bsw::BswExecutor serial(1);
-      std::vector<bsw::KswResult> out;
-      serial.run(jobs, out, mopt.ksw);  // warm-up
-      for (int rep = 0; rep < 3; ++rep) {
-        util::Timer t;
-        serial.run(jobs, out, mopt.ksw);
-        serial_seconds = std::min(serial_seconds, t.seconds());
-      }
-      serial_checksum = ksw_checksum(out);
-    }
-
-    std::vector<int> counts = {1, 2, 4};
-    if (hw > 4) counts.push_back(hw);
-    const auto points = sweep_bsw_threads(jobs, mopt.ksw, counts);
-
-    bench::print_header("BswExecutor thread sweep (" + std::to_string(jobs.size()) +
-                        " harvested jobs, serial executor " +
-                        bench::fmt(serial_seconds, 3) + "s)");
-    bench::print_row("threads", {"time (s)", "speedup", "identical"});
-    bool all_identical = true;
-    for (const SweepPoint& pt : points) {
-      const bool same = pt.checksum == serial_checksum;
-      all_identical &= same;
-      bench::print_row(std::to_string(pt.threads).c_str(),
-                       {bench::fmt(pt.seconds, 3),
-                        bench::fmt(serial_seconds / pt.seconds, 2) + "x",
-                        same ? "yes" : "NO"});
-    }
-
-    if (std::FILE* f = std::fopen("BENCH_bsw_scaling.json", "w")) {
-      std::fprintf(f, "{\n  \"bench\": \"bsw_scaling\",\n");
-      std::fprintf(f, "  \"jobs\": %zu,\n", jobs.size());
-      std::fprintf(f, "  \"hw_threads\": %d,\n", hw);
-      std::fprintf(f, "  \"serial_seconds\": %.6f,\n", serial_seconds);
-      std::fprintf(f, "  \"serial_checksum\": \"%016llx\",\n",
-                   static_cast<unsigned long long>(serial_checksum));
-      std::fprintf(f, "  \"all_checksums_identical\": %s,\n",
-                   all_identical ? "true" : "false");
-      std::fprintf(f, "  \"sweep\": [\n");
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const SweepPoint& pt = points[i];
-        std::fprintf(f,
-                     "    {\"threads\": %d, \"seconds\": %.6f, \"speedup\": %.3f, "
-                     "\"checksum\": \"%016llx\"}%s\n",
-                     pt.threads, pt.seconds, serial_seconds / pt.seconds,
-                     static_cast<unsigned long long>(pt.checksum),
-                     i + 1 < points.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-      std::printf("\nwrote BENCH_bsw_scaling.json\n");
-    }
-    if (!all_identical) {
-      std::printf("ERROR: executor results differ from the serial executor!\n");
-      return 1;
-    }
-  }
   return 0;
 }

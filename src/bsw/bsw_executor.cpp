@@ -1,7 +1,5 @@
 #include "bsw/bsw_executor.h"
 
-#include <omp.h>
-
 #include <algorithm>
 
 #include "util/radix_sort.h"
@@ -21,26 +19,17 @@ void prefetch_bytes(const seq::Code* p, int len) {
 
 }  // namespace
 
-void BswExecutor::set_threads(int threads) {
-  threads_ = std::max(1, threads);
-  if (slots_.size() < static_cast<std::size_t>(threads_))
-    slots_.resize(static_cast<std::size_t>(threads_));
-}
-
 std::size_t BswExecutor::workspace_bytes() const {
-  std::size_t bytes = (idx8_.capacity() + idx16_.capacity() + sort_keys_.capacity() +
-                       sort_scratch_.capacity()) *
-                      sizeof(std::uint32_t);
-  for (const ThreadSlot& s : slots_)
-    bytes += s.chunk.capacity() * sizeof(ExtendJob) +
-             s.chunk_out.capacity() * sizeof(KswResult);
-  return bytes;
+  return (idx8_.capacity() + idx16_.capacity() + sort_keys_.capacity() +
+          sort_scratch_.capacity()) *
+             sizeof(std::uint32_t) +
+         chunk_.capacity() * sizeof(ExtendJob) + chunk_out_.capacity() * sizeof(KswResult);
 }
 
 void BswExecutor::run_group(const ExtendJob* jobs, KswResult* out,
                             std::vector<std::uint32_t>& order, const KswParams& params,
                             const BswBatchOptions& opt, const BswEngine& engine,
-                            bool want_stats) {
+                            BswBatchStats* stats) {
   if (order.empty()) return;
 
   if (opt.sort_by_length) {
@@ -51,58 +40,39 @@ void BswExecutor::run_group(const ExtendJob* jobs, KswResult* out,
     util::radix_sort_indices(sort_keys_, order, sort_scratch_);
     for (std::uint32_t i : order) sort_keys_[i] = static_cast<std::uint32_t>(jobs[i].qlen);
     util::radix_sort_indices(sort_keys_, order, sort_scratch_);
-    if (want_stats) slots_[0].stats.sort_seconds += t.seconds();
+    if (stats) stats->sort_seconds += t.seconds();
   }
 
   MEM2_REQUIRE(engine.width >= 1 && engine.width <= kMaxEngineWidth,
                "engine width exceeds executor chunk buffers");
   const std::size_t width = static_cast<std::size_t>(engine.width);
-  const std::size_t n_chunks = chunk_count(order.size(), engine.width);
-  const int team = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(threads_), n_chunks));
-
-#pragma omp parallel num_threads(team)
-  {
-    const int tid = omp_get_thread_num();
-    ThreadSlot& slot = slots_[static_cast<std::size_t>(tid)];
-    if (slot.chunk.size() < static_cast<std::size_t>(kMaxEngineWidth)) {
-      slot.chunk.resize(static_cast<std::size_t>(kMaxEngineWidth));
-      slot.chunk_out.resize(static_cast<std::size_t>(kMaxEngineWidth));
-    }
-    // Worker threads bump their own TLS counter sink; park the caller's
-    // accumulated counters so the reduction below can restore them plus the
-    // per-thread deltas, leaving the TLS state exactly as a serial run would.
-    const util::SwCounters saved = util::tls_counters();
-    util::tls_counters().reset();
-
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n_chunks); ++c) {
-      const std::size_t pos = static_cast<std::size_t>(c) * width;
-      const int n = static_cast<int>(std::min(width, order.size() - pos));
-      // Length sorting scatters a chunk's jobs over the whole batch, so the
-      // gather and the engine's SoA transpose miss the cache on every job.
-      // Prefetch two chunks ahead for the job records and one chunk ahead
-      // for their sequences and result slots (records fetched last round).
-      for (std::size_t k = pos + 2 * width; k < std::min(pos + 3 * width, order.size()); ++k)
-        __builtin_prefetch(&jobs[order[k]]);
-      for (std::size_t k = pos + width; k < std::min(pos + 2 * width, order.size()); ++k) {
-        const ExtendJob& next = jobs[order[k]];
-        prefetch_bytes(next.query, next.qlen);
-        prefetch_bytes(next.target, next.tlen);
-        __builtin_prefetch(&out[order[k]], 1);
-      }
-      for (int z = 0; z < n; ++z)
-        slot.chunk[static_cast<std::size_t>(z)] = jobs[order[pos + static_cast<std::size_t>(z)]];
-      engine.run(slot.chunk.data(), slot.chunk_out.data(), n, params,
-                 want_stats ? &slot.stats.breakdown : nullptr);
-      for (int z = 0; z < n; ++z)
-        out[order[pos + static_cast<std::size_t>(z)]] = slot.chunk_out[static_cast<std::size_t>(z)];
-      ++slot.stats.chunks;
-    }
-
-    slot.counters += util::tls_counters();
-    util::tls_counters() = saved;
+  if (chunk_.size() < static_cast<std::size_t>(kMaxEngineWidth)) {
+    chunk_.resize(static_cast<std::size_t>(kMaxEngineWidth));
+    chunk_out_.resize(static_cast<std::size_t>(kMaxEngineWidth));
   }
+
+  for (std::size_t pos = 0; pos < order.size(); pos += width) {
+    const int n = static_cast<int>(std::min(width, order.size() - pos));
+    // Length sorting scatters a chunk's jobs over the whole batch, so the
+    // gather and the engine's SoA transpose miss the cache on every job.
+    // Prefetch two chunks ahead for the job records and one chunk ahead
+    // for their sequences and result slots (records fetched last round).
+    for (std::size_t k = pos + 2 * width; k < std::min(pos + 3 * width, order.size()); ++k)
+      __builtin_prefetch(&jobs[order[k]]);
+    for (std::size_t k = pos + width; k < std::min(pos + 2 * width, order.size()); ++k) {
+      const ExtendJob& next = jobs[order[k]];
+      prefetch_bytes(next.query, next.qlen);
+      prefetch_bytes(next.target, next.tlen);
+      __builtin_prefetch(&out[order[k]], 1);
+    }
+    for (int z = 0; z < n; ++z)
+      chunk_[static_cast<std::size_t>(z)] = jobs[order[pos + static_cast<std::size_t>(z)]];
+    engine.run(chunk_.data(), chunk_out_.data(), n, params,
+               stats ? &stats->breakdown : nullptr);
+    for (int z = 0; z < n; ++z)
+      out[order[pos + static_cast<std::size_t>(z)]] = chunk_out_[static_cast<std::size_t>(z)];
+  }
+  if (stats) stats->chunks += chunk_count(order.size(), engine.width);
 }
 
 void BswExecutor::run(const ExtendJob* jobs, std::size_t n_jobs, KswResult* out,
@@ -110,8 +80,6 @@ void BswExecutor::run(const ExtendJob* jobs, std::size_t n_jobs, KswResult* out,
                       BswBatchStats* stats) {
   std::fill(out, out + n_jobs, KswResult{});
   if (n_jobs == 0) return;
-  if (slots_.empty()) slots_.resize(1);
-  for (ThreadSlot& s : slots_) s.stats = BswBatchStats{};
 
   idx8_.clear();
   idx16_.clear();
@@ -132,19 +100,11 @@ void BswExecutor::run(const ExtendJob* jobs, std::size_t n_jobs, KswResult* out,
   const util::Isa isa = std::min(opt.isa, util::dispatch_isa());
   const BswEngine e8 = get_engine(isa, Precision::k8bit);
   const BswEngine e16 = get_engine(isa, Precision::k16bit);
-  run_group(jobs, out, idx8_, params, opt, e8, stats != nullptr);
-  run_group(jobs, out, idx16_, params, opt, e16, stats != nullptr);
+  run_group(jobs, out, idx8_, params, opt, e8, stats);
+  run_group(jobs, out, idx16_, params, opt, e16, stats);
   if (stats) {
     if (!idx8_.empty()) stats->engine_8bit = e8.name;
     if (!idx16_.empty()) stats->engine_16bit = e16.name;
-  }
-
-  // Slot-order reduction keeps the aggregate deterministic for a fixed
-  // thread count; the integer counters are thread-count invariant.
-  for (ThreadSlot& s : slots_) {
-    if (stats) *stats += s.stats;
-    util::tls_counters() += s.counters;
-    s.counters.reset();
   }
 }
 

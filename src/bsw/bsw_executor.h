@@ -1,4 +1,4 @@
-// Parallel, allocation-free BSW execution (paper §5.3 + §3.2).
+// Allocation-free batched BSW execution (paper §5.3 + §3.2).
 //
 // BswExecutor owns the batched-BSW pipeline:
 //   1. split jobs into 8-bit-eligible and 16-bit sets (§5.4.1);
@@ -8,30 +8,19 @@
 //   3. run the engine on width-aligned chunks of jobs;
 //   4. scatter results back to the original job order.
 //
-// Two properties matter to callers:
-//
-//   1. Persistent workspace.  Split index vectors, radix-sort key/scratch
-//      arrays and per-thread chunk buffers live in the executor, so after
-//      the first batch a steady-state run() performs no heap allocations —
-//      the paper's §3.2 memory discipline extended to the batch layer.
-//
-//   2. OpenMP-parallel chunk dispatch.  After the split and sort, the
-//      ordered job list is cut into width-aligned chunks executed
-//      concurrently, each thread running the SIMD engine on its own chunk
-//      buffers.  Chunk boundaries depend only on the job list, never on the
-//      thread count, and every chunk scatters to disjoint output slots, so
-//      results are bit-identical to the serial path for any thread count
-//      (tests/test_bsw_executor.cpp proves it).  BswExecutor(1) is the
-//      serial path.
-//
-// Stats and software counters are accumulated per thread and reduced in
-// slot order; counters land on the calling thread's TLS sink exactly as the
-// serial path would have left them.
+// run() executes on the calling thread and starts no threads: alignment
+// parallelism is the session pool's, one whole batch per worker.  Split
+// index vectors, radix-sort key/scratch arrays and the chunk buffers live
+// in the executor, so after the first batch a steady-state run() performs
+// no heap allocations — the paper's §3.2 memory discipline extended to the
+// batch layer.  Stats accumulate into the caller's BswBatchStats and
+// software counters onto the calling thread's TLS sink.
 #pragma once
 
 #include <vector>
 
 #include "bsw/bsw_engine.h"
+#include "util/common.h"
 #include "util/sw_counters.h"
 
 namespace mem2::bsw {
@@ -69,15 +58,14 @@ struct BswBatchStats {
 class BswExecutor {
  public:
   BswExecutor() = default;
-  explicit BswExecutor(int threads) { set_threads(threads); }
-
-  /// Number of OpenMP threads chunk dispatch may use (clamped to >= 1).
-  void set_threads(int threads);
-  int threads() const { return threads_; }
+  /// Kept only so perfbench, which constructs BswExecutor(1), builds
+  /// unmodified; goes with the next benchmark change.  Accepts only 1.
+  explicit BswExecutor(int threads) {
+    MEM2_REQUIRE(threads == 1, "BswExecutor runs on its caller's thread");
+  }
 
   /// Run all jobs; out[i] holds the result for jobs[i] regardless of
-  /// internal reordering.  Deterministic for a fixed job list and options,
-  /// and invariant across thread counts.
+  /// internal reordering.  Deterministic for a fixed job list and options.
   void run(const ExtendJob* jobs, std::size_t n_jobs, KswResult* out,
            const KswParams& params, const BswBatchOptions& options = {},
            BswBatchStats* stats = nullptr);
@@ -89,23 +77,16 @@ class BswExecutor {
   std::size_t workspace_bytes() const;
 
  private:
-  struct ThreadSlot {
-    std::vector<ExtendJob> chunk;      // AoS gather buffer, kMaxEngineWidth
-    std::vector<KswResult> chunk_out;  // engine output before scatter
-    BswBatchStats stats;               // reduced in slot order after a run
-    util::SwCounters counters;         // ditto, onto the caller's TLS sink
-  };
-
   void run_group(const ExtendJob* jobs, KswResult* out,
                  std::vector<std::uint32_t>& order, const KswParams& params,
                  const BswBatchOptions& options, const BswEngine& engine,
-                 bool want_stats);
+                 BswBatchStats* stats);
 
-  int threads_ = 1;
   std::vector<std::uint32_t> idx8_, idx16_;    // precision-split job indices
   std::vector<std::uint32_t> sort_keys_;       // radix key array (per pass)
   std::vector<std::uint32_t> sort_scratch_;    // radix ping-pong buffer
-  std::vector<ThreadSlot> slots_;
+  std::vector<ExtendJob> chunk_;               // AoS gather buffer, kMaxEngineWidth
+  std::vector<KswResult> chunk_out_;           // engine output before scatter
 };
 
 }  // namespace mem2::bsw

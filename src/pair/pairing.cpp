@@ -216,7 +216,7 @@ void apply_mate_fields(io::SamRecord& rec, bool mapped_self, bool rev_self,
     rec.flag |= io::kFlagMateUnmapped;
     // Unmapped mate is placed at this record's own coordinate.
     if (mapped_self) {
-      rec.rnext = "=";
+      rec.rnext = '=';  // a char: GCC 12 -Wrestrict misfires on assigning "="
       rec.pnext = rec.pos;
     }
     return;
@@ -226,7 +226,7 @@ void apply_mate_fields(io::SamRecord& rec, bool mapped_self, bool rev_self,
     // SAM convention: an unmapped read in a pair sits at its mate's locus.
     rec.rname = *mate.rname;
     rec.pos = mate.pos;
-    rec.rnext = "=";
+    rec.rnext = '=';
     rec.pnext = mate.pos;
     return;
   }

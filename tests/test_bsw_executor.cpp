@@ -1,6 +1,6 @@
-// BswExecutor contract: bit-identical to the serial BswExecutor(1) path for
-// any thread count, on synthetic pools and on jobs harvested from a real
-// pipeline run; persistent workspace stops growing after the first batch.
+// BswExecutor contract: bit-identical to scalar ksw on jobs harvested from a
+// real pipeline run, the ISA cap reaches engine dispatch, and the persistent
+// workspace stops growing after the first batch.
 #include <gtest/gtest.h>
 
 #include "bsw/bsw_executor.h"
@@ -48,48 +48,6 @@ struct JobPool {
   }
 };
 
-TEST(BswExecutor, MatchesSerialExecutorAcrossThreadCounts) {
-  JobPool pool(700, 2024);
-  const KswParams p;
-
-  std::vector<KswResult> expect;
-  BswBatchStats serial_stats;
-  BswExecutor(1).run(pool.jobs, expect, p, {}, &serial_stats);
-
-  for (int threads : {1, 2, 3, 8}) {
-    BswExecutor ex(threads);
-    std::vector<KswResult> got;
-    BswBatchStats stats;
-    ex.run(pool.jobs, got, p, {}, &stats);
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], expect[i]) << "threads=" << threads << " job " << i;
-    // Integer stats are thread-count invariant: same split, same chunking.
-    EXPECT_EQ(stats.jobs_8bit, serial_stats.jobs_8bit) << threads;
-    EXPECT_EQ(stats.jobs_16bit, serial_stats.jobs_16bit) << threads;
-    EXPECT_EQ(stats.chunks, serial_stats.chunks) << threads;
-  }
-}
-
-TEST(BswExecutor, MatchesAcrossSortForceAndIsaOptions) {
-  JobPool pool(400, 77);
-  const KswParams p;
-  BswExecutor serial(1);
-  for (bool sort : {false, true}) {
-    for (bool force16 : {false, true}) {
-      BswBatchOptions opt;
-      opt.sort_by_length = sort;
-      opt.force_16bit = force16;
-      std::vector<KswResult> expect;
-      serial.run(pool.jobs, expect, p, opt, nullptr);
-      BswExecutor ex(4);
-      std::vector<KswResult> got;
-      ex.run(pool.jobs, got, p, opt, nullptr);
-      ASSERT_EQ(got, expect) << "sort=" << sort << " force16=" << force16;
-    }
-  }
-}
-
 TEST(BswExecutor, IsaCapReachesEngineDispatch) {
   // MEM2_FORCE_ISA / util::set_isa_cap() must cap BSW like the occ
   // kernels; explicit get_engine() calls still reach every engine the CPU
@@ -107,7 +65,7 @@ TEST(BswExecutor, IsaCapReachesEngineDispatch) {
   util::set_isa_cap(util::Isa::kAvx2);
   BswBatchStats stats;
   std::vector<KswResult> got;
-  BswExecutor(2).run(pool.jobs, got, p, {}, &stats);  // options ask for avx512
+  BswExecutor{}.run(pool.jobs, got, p, {}, &stats);  // options ask for avx512
   EXPECT_STREQ(stats.engine_8bit, "avx2-8bit");
   EXPECT_STREQ(stats.engine_16bit, "avx2-16bit");
   EXPECT_GT(stats.jobs_8bit, 0u);
@@ -118,12 +76,12 @@ TEST(BswExecutor, IsaCapReachesEngineDispatch) {
 
   util::set_isa_cap(util::Isa::kScalar);
   BswBatchStats scalar_stats;
-  BswExecutor(1).run(pool.jobs, got, p, {}, &scalar_stats);
+  BswExecutor{}.run(pool.jobs, got, p, {}, &scalar_stats);
   EXPECT_STREQ(scalar_stats.engine_8bit, "scalar-8bit");
   EXPECT_EQ(got, expect);
 }
 
-TEST(BswExecutor, MatchesSerialExecutorOnHarvestedJobs) {
+TEST(BswExecutor, MatchesScalarKswOnHarvestedJobs) {
   // Jobs intercepted from a real pipeline run over a simulated genome — the
   // same shape of inputs the batch driver pools.
   seq::GenomeConfig g;
@@ -142,19 +100,17 @@ TEST(BswExecutor, MatchesSerialExecutorOnHarvestedJobs) {
   ASSERT_GT(harvested.jobs.size(), 100u);
 
   std::vector<KswResult> expect;
-  BswExecutor(1).run(harvested.jobs, expect, mopt.ksw, {}, nullptr);
-  for (int threads : {1, 2, 8}) {
-    BswExecutor ex(threads);
-    std::vector<KswResult> got;
-    ex.run(harvested.jobs, got, mopt.ksw, {}, nullptr);
-    ASSERT_EQ(got, expect) << "threads=" << threads;
-  }
+  for (const ExtendJob& j : harvested.jobs) expect.push_back(ksw_extend_scalar(j, mopt.ksw));
+  std::vector<KswResult> got;
+  BswExecutor{}.run(harvested.jobs, got, mopt.ksw, {}, nullptr);
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expect[i]) << "job " << i;
 }
 
 TEST(BswExecutor, WorkspaceStopsGrowingInSteadyState) {
   JobPool pool(600, 5150);
   const KswParams p;
-  BswExecutor ex(2);
+  BswExecutor ex;
   std::vector<KswResult> out;
   out.reserve(pool.jobs.size());
   ex.run(pool.jobs, out, p, {}, nullptr);
@@ -164,13 +120,9 @@ TEST(BswExecutor, WorkspaceStopsGrowingInSteadyState) {
   EXPECT_EQ(ex.workspace_bytes(), after_first);
 }
 
-TEST(BswExecutor, EmptyBatchAndThreadClamp) {
-  BswExecutor ex(0);  // clamped to 1
-  EXPECT_EQ(ex.threads(), 1);
-  std::vector<ExtendJob> none;
-  std::vector<KswResult> out(3);
-  ex.run(none, out, KswParams{}, {}, nullptr);
-  EXPECT_TRUE(out.empty());
+TEST(BswExecutor, IntConstructorAcceptsOnlyOne) {
+  EXPECT_NO_THROW(BswExecutor(1));
+  EXPECT_THROW(BswExecutor(2), invariant_error);
 }
 
 }  // namespace

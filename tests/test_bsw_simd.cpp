@@ -145,20 +145,26 @@ TEST(BswBatch, ResultsIndependentOfSortingAndIsa) {
   const KswParams p;
   const auto expect = scalar_reference(pool.jobs, p);
 
-  BswExecutor serial(1);
+  BswExecutor executor;
   for (bool sort : {false, true}) {
-    for (util::Isa isa : {util::Isa::kScalar, util::Isa::kAvx2, util::Isa::kAvx512}) {
-      BswBatchOptions opt;
-      opt.sort_by_length = sort;
-      opt.isa = isa;
-      std::vector<KswResult> got;
-      BswBatchStats stats;
-      serial.run(pool.jobs, got, p, opt, &stats);
-      ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], expect[i])
-            << "sort=" << sort << " isa=" << util::isa_name(isa) << " job " << i;
-      EXPECT_EQ(stats.jobs_8bit + stats.jobs_16bit, pool.jobs.size());
+    for (bool force16 : {false, true}) {
+      for (util::Isa isa : {util::Isa::kScalar, util::Isa::kAvx2, util::Isa::kAvx512}) {
+        BswBatchOptions opt;
+        opt.sort_by_length = sort;
+        opt.force_16bit = force16;
+        opt.isa = isa;
+        std::vector<KswResult> got;
+        BswBatchStats stats;
+        executor.run(pool.jobs, got, p, opt, &stats);
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], expect[i]) << "sort=" << sort << " force16=" << force16
+                                       << " isa=" << util::isa_name(isa) << " job " << i;
+        EXPECT_EQ(stats.jobs_8bit + stats.jobs_16bit, pool.jobs.size());
+        if (force16) {
+          EXPECT_EQ(stats.jobs_8bit, 0u);
+        }
+      }
     }
   }
 }
@@ -169,16 +175,16 @@ TEST(BswBatch, Force16BitMatchesAutoSplit) {
   BswBatchOptions a, b;
   b.force_16bit = true;
   std::vector<KswResult> ra, rb;
-  BswExecutor serial(1);
-  serial.run(pool.jobs, ra, p, a, nullptr);
-  serial.run(pool.jobs, rb, p, b, nullptr);
+  BswExecutor executor;
+  executor.run(pool.jobs, ra, p, a, nullptr);
+  executor.run(pool.jobs, rb, p, b, nullptr);
   EXPECT_EQ(ra, rb);
 }
 
 TEST(BswBatch, EmptyBatchIsFine) {
   std::vector<ExtendJob> none;
-  std::vector<KswResult> out;
-  BswExecutor(1).run(none, out, KswParams{});
+  std::vector<KswResult> out(3);  // stale results are cleared
+  BswExecutor{}.run(none, out, KswParams{});
   EXPECT_TRUE(out.empty());
 }
 
@@ -187,7 +193,7 @@ TEST(BswBatch, SortingReducesWastedCells) {
   // must reduce total computed cells (the wasted-lane effect).
   JobPool pool(2000, 99, 5, 200, 0.05);
   const KswParams p;
-  BswExecutor serial(1);
+  BswExecutor executor;
   auto cells_with = [&](bool sort) {
     auto& ctr = util::tls_counters();
     const auto before = ctr.bsw_cells_total;
@@ -195,7 +201,7 @@ TEST(BswBatch, SortingReducesWastedCells) {
     opt.sort_by_length = sort;
     opt.isa = util::detect_isa();
     std::vector<KswResult> out;
-    serial.run(pool.jobs, out, p, opt, nullptr);
+    executor.run(pool.jobs, out, p, opt, nullptr);
     return ctr.bsw_cells_total - before;
   };
   const auto unsorted = cells_with(false);

@@ -220,7 +220,9 @@ TEST(Smem, OutputSortedByQueryStart) {
     collect_smems(fx.fm32, q, opt, out, ws, pf);
     for (std::size_t i = 1; i < out.size(); ++i) {
       ASSERT_LE(out[i - 1].qb, out[i].qb);
-      if (out[i - 1].qb == out[i].qb) ASSERT_LE(out[i - 1].qe, out[i].qe);
+      if (out[i - 1].qb == out[i].qb) {
+        ASSERT_LE(out[i - 1].qe, out[i].qe);
+      }
     }
   }
 }
