@@ -7,6 +7,10 @@
 //   Interleaved KN              = CP32 + prefetch, N walks in lockstep
 //                                 (SmemExecutor; the paper's batched-
 //                                 prefetch discipline, §4.3)
+//   Interleaved K1              = the executor with one walk: its one-base
+//                                 steps without any interleaving, so the
+//                                 step kernel's gain over "Optimized" reads
+//                                 apart from interleaving's over K1
 //   Interleaved K8-noPF         = interleaving without the prefetches —
 //                                 isolates rotation overhead from latency
 //                                 hiding
@@ -15,7 +19,11 @@
 // LLC misses 23.9M -> 29.7M -> 9.5M; time 4.20s -> 2.79s -> 2.10s (2x).
 // The interleaved rows extend the table beyond the paper: a dependent Occ
 // chain can only hide its misses behind *other reads'* work, which is what
-// K>1 buys.  Emits BENCH_smem_interleave.json for the perf trajectory.
+// K>1 buys.  The counter table prints the executor's K8 counters beside the
+// serial walks'; every executor row must produce the SMEM sets and the
+// extension, bucket-load and SMEM counts of the serial walk with its backend
+// and prefetch setting, else the bench exits 1.  Emits
+// BENCH_smem_interleave.json for the perf trajectory.
 //
 // Flags: --smoke caps the workload for CI smoke runs (still writes JSON).
 #include <cstring>
@@ -51,6 +59,14 @@ std::uint64_t smem_hash(std::uint64_t h, const std::vector<smem::Smem>& v) {
     h = (h ^ static_cast<std::uint64_t>(m.bi.s)) * 1099511628211ull;
   }
   return h;
+}
+
+/// The counters an executor run must share with its serial walk.  Prefetch
+/// counts differ by design: a lane also requests its first forward step's
+/// and its first backward row's lines before suspending.
+bool smem_counters_equal(const util::SwCounters& a, const util::SwCounters& b) {
+  return a.occ_bucket_loads == b.occ_bucket_loads && a.backward_exts == b.backward_exts &&
+         a.forward_exts == b.forward_exts && a.smems_found == b.smems_found;
 }
 
 /// One configuration's reusable measurement state.  Reps are driven
@@ -147,6 +163,7 @@ int main(int argc, char** argv) {
       {"Original (CP128)", "cp128_scalar", false, false, 0},
       {"Opt minus s/w prefetch (CP32)", "cp32_nopf", true, false, 0},
       {"Optimized (CP32+prefetch)", "cp32_pf", true, true, 0},
+      {"Interleaved K1", "cp32_pf_k1", true, true, 1},
       {"Interleaved K4", "cp32_pf_k4", true, true, 4},
       {"Interleaved K8", "cp32_pf_k8", true, true, 8},
       {"Interleaved K16", "cp32_pf_k16", true, true, 16},
@@ -154,6 +171,7 @@ int main(int argc, char** argv) {
   };
   constexpr int kNum = static_cast<int>(std::size(configs));
   constexpr int kScalarOpt = 2;  // "Optimized" — the interleave baseline
+  constexpr int kK8 = 5;         // the executor column of the counter table
   std::vector<Runner> runners;
   runners.reserve(kNum);
   for (const Config& cfg : configs) runners.emplace_back(index, queries, cfg);
@@ -165,10 +183,10 @@ int main(int argc, char** argv) {
 
   bench::print_header("Table 4: SMEM kernel, single thread (D2 analog, " +
                       std::to_string(d2.reads.size()) + " reads)");
-  bench::print_row("Counter", {"Original", "Opt-noPF", "Optimized"});
+  bench::print_row("Counter", {"Original", "Opt-noPF", "Optimized", "K8 executor"});
   auto row_u64 = [&](const char* label, auto getter) {
     bench::print_row(label, {bench::fmt_int(getter(runs[0])), bench::fmt_int(getter(runs[1])),
-                             bench::fmt_int(getter(runs[2]))});
+                             bench::fmt_int(getter(runs[2])), bench::fmt_int(getter(runs[kK8]))});
   };
   row_u64("occ bucket loads (x1e3)",
           [](const Run& r) { return r.ctr.occ_bucket_loads / 1000; });
@@ -197,16 +215,31 @@ int main(int argc, char** argv) {
                     bench::fmt(runs[0].seconds / runs[2].seconds)});
 
   bench::print_header("Interleaved executor (K in-flight walks per thread)");
-  bench::print_row("Config", {"time (s)", "vs Optimized", "identical"});
-  bool all_identical = true;
+  bench::print_row("Config", {"time (s)", "vs Optimized", "identical", "counters"});
+  // The serial walk an executor row replays: same backend and prefetch.
+  auto serial_of = [&](const Config& cfg) {
+    for (int j = 0; j < kNum; ++j)
+      if (configs[j].inflight == 0 && configs[j].cp32 == cfg.cp32 &&
+          configs[j].prefetch == cfg.prefetch)
+        return j;
+    return -1;
+  };
+  bool all_identical = true, all_counters_equal = true;
   for (int i = 0; i < kNum; ++i) {
     const bool same = runs[i].hash == runs[kScalarOpt].hash &&
                       runs[i].smems == runs[kScalarOpt].smems;
     all_identical &= same;
+    std::string counters = "serial";
+    if (configs[i].inflight > 0) {
+      const int j = serial_of(configs[i]);
+      const bool equal = j >= 0 && smem_counters_equal(runs[i].ctr, runs[j].ctr);
+      all_counters_equal &= equal;
+      counters = equal ? "= serial" : "DIFFER";
+    }
     bench::print_row(configs[i].name,
                      {bench::fmt(runs[i].seconds, 4),
                       bench::fmt(runs[kScalarOpt].seconds / runs[i].seconds, 2) + "x",
-                      same ? "yes" : "NO"});
+                      same ? "yes" : "NO", counters});
   }
 
   if (std::FILE* f = std::fopen("BENCH_smem_interleave.json", "w")) {
@@ -215,6 +248,8 @@ int main(int argc, char** argv) {
                  d2.reads.size(), reps, smoke ? "true" : "false");
     std::fprintf(f, "  \"all_outputs_identical\": %s,\n",
                  all_identical ? "true" : "false");
+    std::fprintf(f, "  \"all_counters_identical\": %s,\n",
+                 all_counters_equal ? "true" : "false");
     std::fprintf(f, "  \"configs\": [\n");
     for (int i = 0; i < kNum; ++i) {
       std::fprintf(f,
@@ -235,6 +270,11 @@ int main(int argc, char** argv) {
     std::printf("ERROR: SMEM sets differ across configurations!\n");
     return 1;
   }
+  if (!all_counters_equal) {
+    std::printf("ERROR: an executor's SMEM counters differ from its serial walk's!\n");
+    return 1;
+  }
   std::printf("identical SMEM sets across all %d configurations: yes\n", kNum);
+  std::printf("executor counters equal to the serial walks': yes\n");
   return 0;
 }

@@ -120,6 +120,26 @@ class FmIndexT {
     }
   }
 
+  /// backward_ext(in)[c] alone, for a walk that reads one base per step.
+  /// Each of rows k-1 and k+s-1 needs only Occ(c) and the count of bases
+  /// greater than c (which stack below c on the l side).  Bumps no counter:
+  /// the caller counts one backward extension and two bucket loads.
+  BiInterval backward_ext1(const BiInterval& in, int c) const {
+    idx_t eq0 = 0, gt0 = 0, eq1 = 0, gt1 = 0;
+    eq_gt_row_(c, in.k - 1, eq0, gt0);
+    eq_gt_row_(c, in.k + in.s - 1, eq1, gt1);
+    const idx_t sentinel =
+        (in.k <= primary_ && primary_ <= in.k + in.s - 1) ? 1 : 0;
+    return BiInterval{cum(c) + eq0, in.l + sentinel + gt1 - gt0, eq1 - eq0};
+  }
+
+  /// forward_ext(in)[c] alone: the backward step of the swapped interval by
+  /// the complement of c.  Bumps no counter, like backward_ext1.
+  BiInterval forward_ext1(const BiInterval& in, int c) const {
+    const BiInterval b = backward_ext1(BiInterval{in.l, in.k, in.s}, 3 - c);
+    return BiInterval{b.l, b.k, b.s};
+  }
+
   /// Single-base backward step for LF-walks (SampledSA): given row r (not
   /// the primary row), returns the row of the suffix starting one position
   /// earlier, reading base c = BWT[r].
@@ -140,17 +160,23 @@ class FmIndexT {
   /// interval will touch (paper §4.3): the lines holding rows k-1 and
   /// k+s-1.
   void prefetch_interval(const BiInterval& bi) const {
-    occ_.prefetch(bi.k >= 1 ? bi.k - 1 : 0);
-    occ_.prefetch(bi.k + bi.s - 1);
+    prefetch_rows(bi.k, bi.s);
     util::tls_counters().prefetches += 2;
   }
 
   /// Prefetch for a future *forward* extension, which reads the l side
   /// (Algorithm 4 lines 11-12: Prefetch(Oc, l-1), Prefetch(Oc, l+s-1)).
   void prefetch_forward(const BiInterval& bi) const {
-    occ_.prefetch(bi.l >= 1 ? bi.l - 1 : 0);
-    occ_.prefetch(bi.l + bi.s - 1);
+    prefetch_rows(bi.l, bi.s);
     util::tls_counters().prefetches += 2;
+  }
+
+  /// The two prefetches above without the counter: the buckets of rows
+  /// first-1 and first+s-1 (first is k for a backward step, l for a forward
+  /// one).
+  void prefetch_rows(idx_t first, idx_t s) const {
+    occ_.prefetch(first >= 1 ? first - 1 : 0);
+    occ_.prefetch(first + s - 1);
   }
 
   /// Keep a copy of the raw BWT for lf_step (SampledSA path).  Optional:
@@ -163,6 +189,11 @@ class FmIndexT {
   const std::vector<seq::Code>& raw_bwt() const { return raw_bwt_; }
 
  private:
+  /// Occ::eq_gt at BWT row r (0 and 0 for r = -1, the empty prefix).
+  void eq_gt_row_(int c, idx_t r, idx_t& eq, idx_t& gt) const {
+    if (r >= 0) occ_.eq_gt(c, r + 1 - (r >= primary_ ? 1 : 0), eq, gt);
+  }
+
   int bwt_char_(idx_t j) const { return raw_bwt_[static_cast<std::size_t>(j)]; }
 
   idx_t seq_len_ = 0;

@@ -38,6 +38,16 @@ class OccCp128 {
   /// occ for all four bases at once (shares the bucket decode).
   void occ4(idx_t j, idx_t out[4]) const;
 
+  /// Counts of base c (eq) and of bases greater than c (gt) among the first
+  /// j positions, through occ4's decode.
+  void eq_gt(int c, idx_t j, idx_t& eq, idx_t& gt) const {
+    idx_t n[4];
+    occ4(j, n);
+    eq = n[c];
+    gt = 0;
+    for (int b = c + 1; b < 4; ++b) gt += n[b];
+  }
+
   /// Prefetch the bucket containing position j.
   void prefetch(idx_t j) const {
     util::prefetch_r(&buckets_[static_cast<std::size_t>(j >> kBucketShift)]);

@@ -10,8 +10,11 @@
 //
 // The AVX2 path lives in occ_cp32_avx2.cpp (built with -mavx2) and is
 // selected at runtime; the scalar path here is the portable fallback and
-// the reference for tests.
+// the reference for tests.  eq_gt(), the one-base extension's count, is
+// inline SSE2 (x86-64 baseline), so it is one kernel at every dispatch ISA.
 #pragma once
+
+#include <emmintrin.h>
 
 #include <cstdint>
 #include <vector>
@@ -58,6 +61,40 @@ class OccCp32 {
   void occ4(idx_t j, idx_t out[4]) const {
     const Bucket& bkt = buckets_[static_cast<std::size_t>(j >> kBucketShift)];
     occ4_in_bucket_(&bkt, static_cast<int>(j & (kBucket - 1)), out);
+  }
+
+  /// Counts of base c (eq) and of bases greater than c (gt) among the first
+  /// j BWT positions: all a one-base extension by c reads of a row.  The 32
+  /// bucket bytes are compared against c, masked to the first j & 31, and
+  /// packed one per byte as eq&1 | gt&64, so two byte sums give
+  /// eq = sum & 63 and gt = sum >> 6.  No popcount: outside the -mavx2 TU
+  /// that would be a libgcc call.
+  void eq_gt(int c, idx_t j, idx_t& eq, idx_t& gt) const {
+    const Bucket& bkt = buckets_[static_cast<std::size_t>(j >> kBucketShift)];
+    const __m128i y = _mm_set1_epi8(static_cast<char>(j & (kBucket - 1)));
+    const __m128i lo = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
+    const __m128i eq_bit = _mm_set1_epi8(1), gt_bit = _mm_set1_epi8(64);
+    // Byte sums of one 16-base half; pos holds the half's base positions.
+    auto half = [&](const std::uint8_t* bases, __m128i pos) {
+      const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bases));
+      const __m128i packed =
+          _mm_or_si128(_mm_and_si128(_mm_cmpeq_epi8(b, needle), eq_bit),
+                       _mm_and_si128(_mm_cmpgt_epi8(b, needle), gt_bit));
+      const __m128i in_prefix = _mm_cmpgt_epi8(y, pos);
+      return _mm_sad_epu8(_mm_and_si128(packed, in_prefix), _mm_setzero_si128());
+    };
+    const __m128i sums = _mm_add_epi64(
+        half(bkt.bases, lo), half(bkt.bases + 16, _mm_add_epi8(lo, _mm_set1_epi8(16))));
+    const int sum = _mm_cvtsi128_si32(_mm_add_epi64(sums, _mm_unpackhi_epi64(sums, sums)));
+    // The bucket's counts of the bases above c, summed without a branch on c.
+    __m128i above = _mm_and_si128(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(bkt.count)),
+        _mm_cmpgt_epi32(_mm_setr_epi32(0, 1, 2, 3), _mm_set1_epi32(c)));
+    above = _mm_add_epi32(above, _mm_shuffle_epi32(above, 0x4e));
+    above = _mm_add_epi32(above, _mm_shuffle_epi32(above, 0xb1));
+    eq = static_cast<idx_t>(bkt.count[c]) + (sum & 63);
+    gt = static_cast<idx_t>(static_cast<std::uint32_t>(_mm_cvtsi128_si32(above))) + (sum >> 6);
   }
 
   void prefetch(idx_t j) const {

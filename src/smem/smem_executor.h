@@ -27,10 +27,18 @@
 // collect() resumes the live lanes round-robin, so every prefetch has K-1
 // other lanes' steps to complete before its lane runs again.  The step
 // bodies themselves are the plain inline helpers below; the coroutine holds
-// only control flow.  Reads are independent and each lane replays the
-// scalar control flow verbatim, so the output (and every extension and
-// bucket-load counter) equals collect_smems() for any K and interleaving
-// (tests/test_smem_executor).
+// only control flow.
+//
+// Every step extends by the one base the walk reads next: backward_ext1 /
+// forward_ext1 count only Occ(c) and the bases above c at the step's two
+// rows (inline SSE2 on CP32), where the scalar walk's backward_ext /
+// forward_ext decode all four bases and build four intervals to keep one.
+// A step touches no thread-local state: each lane counts its extensions,
+// prefetches and SMEMs in its SmemWorkspace, and collect() adds them to
+// util::tls_counters() once, on return or unwind.  Reads are independent and
+// each lane replays the scalar control flow verbatim, so the output (and
+// every extension and bucket-load counter) equals collect_smems() for any K
+// and interleaving (tests/test_smem_executor).
 #pragma once
 
 #include <algorithm>
@@ -147,19 +155,27 @@ inline int code_at(std::span<const seq::Code> q, int i) {
   return i < 0 || q[static_cast<std::size_t>(i)] > 3 ? -1 : q[static_cast<std::size_t>(i)];
 }
 
+/// Requests the Occ buckets of a future extension's rows first-1 and
+/// first+s-1 (first = k backward, l forward), counted in the lane.
+template <class Fm>
+inline void prefetch(const Fm& fm, idx_t first, idx_t s, SmemWorkspace& ws) {
+  fm.prefetch_rows(first, s);
+  ws.counts.prefetches += 2;
+}
+
 /// smem1's forward-loop body: extend ik by base c at query position i,
-/// pushing ik as a candidate when the interval shrinks.  Returns false when
-/// the interval got too small to extend further.
+/// pushing ik as a candidate into ws.curr when the interval shrinks.
+/// Returns false when the interval got too small to extend further.
 template <class Fm>
 inline bool forward(const Fm& fm, seq::Code c, int i, idx_t min_intv,
-                    SmemWorkspace::Entry& ik, std::vector<SmemWorkspace::Entry>& curr) {
-  index::BiInterval ok[4];
-  fm.forward_ext(ik.bi, ok);
-  if (ok[c].s != ik.bi.s) {
-    curr.push_back(ik);
-    if (ok[c].s < min_intv) return false;
+                    SmemWorkspace::Entry& ik, SmemWorkspace& ws) {
+  const index::BiInterval next = fm.forward_ext1(ik.bi, c);
+  ++ws.counts.forward_exts;
+  if (next.s != ik.bi.s) {
+    ws.curr.push_back(ik);
+    if (next.s < min_intv) return false;
   }
-  ik.bi = ok[c];
+  ik.bi = next;
   ik.qe = static_cast<std::int32_t>(i + 1);
   return true;
 }
@@ -177,7 +193,7 @@ inline bool backward_row(const Fm& fm, int c, int i, idx_t min_intv, bool pf,
     // test: mem1 is filled right-to-left).
     if (ws.mem1.empty() || i + 1 < ws.mem1.back().qb) {
       ws.mem1.push_back(Smem{p.bi, static_cast<std::int32_t>(i + 1), p.qe});
-      ++util::tls_counters().smems_found;
+      ++ws.counts.smems_found;
     }
   };
   ws.curr.clear();
@@ -186,17 +202,17 @@ inline bool backward_row(const Fm& fm, int c, int i, idx_t min_intv, bool pf,
     return false;
   }
   for (const SmemWorkspace::Entry& p : ws.prev) {
-    index::BiInterval ok[4];
-    fm.backward_ext(p.bi, ok);
-    if (ok[c].s < min_intv) {
+    const index::BiInterval next = fm.backward_ext1(p.bi, c);
+    ++ws.counts.backward_exts;
+    if (next.s < min_intv) {
       // p cannot extend left: candidate SMEM if no longer match remains.
       if (ws.curr.empty()) emit_if_new(p);
-    } else if (ws.curr.empty() || ok[c].s != ws.curr.back().bi.s) {
+    } else if (ws.curr.empty() || next.s != ws.curr.back().bi.s) {
       // Survives into the next row; request its Occ lines now, exactly where
       // the scalar kernel prefetches (Algorithm 4's placement) — they get the
       // rest of this row plus a rotation to arrive.
-      if (pf) fm.prefetch_interval(ok[c]);
-      ws.curr.push_back(SmemWorkspace::Entry{ok[c], p.qe});
+      if (pf) prefetch(fm, next.k, next.s, ws);
+      ws.curr.push_back(SmemWorkspace::Entry{next, p.qe});
     }
   }
   if (ws.curr.empty()) return false;
@@ -208,15 +224,15 @@ inline bool backward_row(const Fm& fm, int c, int i, idx_t min_intv, bool pf,
 /// the greedy seed starting at x.  Returns true when the seed is found.
 template <class Fm>
 inline bool seed(const Fm& fm, seq::Code c, int x, int i, const SeedingOptions& opt,
-                 index::BiInterval& ik, Smem& hit) {
-  index::BiInterval ok[4];
-  fm.forward_ext(ik, ok);
-  if (ok[c].s < opt.max_mem_intv && i - x >= opt.min_seed_len) {
-    hit = Smem{ok[c], static_cast<std::int32_t>(x), static_cast<std::int32_t>(i + 1)};
-    ++util::tls_counters().smems_found;
+                 index::BiInterval& ik, Smem& hit, SmemWorkspace& ws) {
+  const index::BiInterval next = fm.forward_ext1(ik, c);
+  ++ws.counts.forward_exts;
+  if (next.s < opt.max_mem_intv && i - x >= opt.min_seed_len) {
+    hit = Smem{next, static_cast<std::int32_t>(x), static_cast<std::int32_t>(i + 1)};
+    ++ws.counts.smems_found;
     return true;
   }
-  ik = ok[c];
+  ik = next;
   return false;
 }
 
@@ -272,10 +288,9 @@ SmemExecutor::Walk SmemExecutor::walk(Cursor<Fm>& cur, SmemWorkspace& ws) {
                                 static_cast<std::int32_t>(sx + 1)};
         int i = sx + 1;
         for (; i < len && q[static_cast<std::size_t>(i)] < 4; ++i) {
-          if (pf) fm.prefetch_forward(ik.bi);  // the l-side rows forward() reads
+          if (pf) walk_step::prefetch(fm, ik.bi.l, ik.bi.s, ws);  // forward() reads l side
           co_await std::suspend_always{};
-          if (!walk_step::forward(fm, q[static_cast<std::size_t>(i)], i, min_intv,
-                                  ik, ws.curr))
+          if (!walk_step::forward(fm, q[static_cast<std::size_t>(i)], i, min_intv, ik, ws))
             break;
         }
         if (i == len || q[static_cast<std::size_t>(i)] > 3)
@@ -290,7 +305,7 @@ SmemExecutor::Walk SmemExecutor::walk(Cursor<Fm>& cur, SmemWorkspace& ws) {
             // Every entry of the first row is known now; later rows' entries
             // were requested as backward_row produced them.
             if (pf && i == sx - 1)
-              for (const auto& p : ws.prev) fm.prefetch_interval(p.bi);
+              for (const auto& p : ws.prev) walk_step::prefetch(fm, p.bi.k, p.bi.s, ws);
             co_await std::suspend_always{};
           }
           if (!walk_step::backward_row(fm, c, i, min_intv, pf, ws)) break;
@@ -312,9 +327,9 @@ SmemExecutor::Walk SmemExecutor::walk(Cursor<Fm>& cur, SmemWorkspace& ws) {
       index::BiInterval ik = fm.set_intv(q[static_cast<std::size_t>(x)]);
       int i = x + 1;
       for (; i < len && q[static_cast<std::size_t>(i)] < 4; ++i) {
-        if (pf) fm.prefetch_forward(ik);
+        if (pf) walk_step::prefetch(fm, ik.l, ik.s, ws);
         co_await std::suspend_always{};
-        if (walk_step::seed(fm, q[static_cast<std::size_t>(i)], x, i, opt, ik, hit))
+        if (walk_step::seed(fm, q[static_cast<std::size_t>(i)], x, i, opt, ik, hit, ws))
           break;
       }
       if (hit.bi.s > 0) out.push_back(hit);
@@ -334,6 +349,22 @@ void SmemExecutor::collect(const Fm& fm, std::span<const QueryRef> queries,
       std::min<std::size_t>(static_cast<std::size_t>(inflight_), queries.size()));
   if (ws_.size() < static_cast<std::size_t>(k)) ws_.resize(static_cast<std::size_t>(k));
 
+  // The lanes' counts reach the thread's counters once, when collect()
+  // returns or rethrows (so a CounterCapture around it stays exact).
+  struct AddCounts {
+    std::span<SmemWorkspace> lanes;
+    ~AddCounts() {
+      util::SwCounters& t = util::tls_counters();
+      for (SmemWorkspace& ws : lanes) {
+        t.backward_exts += ws.counts.backward_exts;
+        t.forward_exts += ws.counts.forward_exts;
+        t.occ_bucket_loads += 2 * (ws.counts.backward_exts + ws.counts.forward_exts);
+        t.prefetches += ws.counts.prefetches;
+        t.smems_found += ws.counts.smems_found;
+        ws.counts = {};
+      }
+    }
+  } add_counts{std::span<SmemWorkspace>(ws_).first(static_cast<std::size_t>(k))};
   Cursor<Fm> cur{fm, queries, opt, pf.enabled};
   // Declared after cur: on return or throw every frame is destroyed before
   // the cursor it points at.
@@ -355,5 +386,16 @@ void SmemExecutor::collect(const Fm& fm, std::span<const QueryRef> queries,
     }
   }
 }
+
+// Instantiated once, in smem_executor.cpp with the library's flags, like
+// collect_smems: a caller built with other flags (the tests and perfbench
+// compile at -O2) links that copy instead of emitting its own, which the
+// linker could otherwise pick for every caller in the binary.
+extern template void SmemExecutor::collect<index::FmIndexCp128>(
+    const index::FmIndexCp128&, std::span<const QueryRef>, const SeedingOptions&,
+    const util::PrefetchPolicy&);
+extern template void SmemExecutor::collect<index::FmIndexCp32>(
+    const index::FmIndexCp32&, std::span<const QueryRef>, const SeedingOptions&,
+    const util::PrefetchPolicy&);
 
 }  // namespace mem2::smem

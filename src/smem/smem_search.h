@@ -55,6 +55,17 @@ struct SmemWorkspace {
   };
   std::vector<Entry> curr, prev;
   std::vector<Smem> mem1;  // per-call output of smem1 during seeding
+
+  /// An SmemExecutor lane counts its walk here rather than in
+  /// util::tls_counters(); collect() adds the counts there once per call.
+  /// Every extension loads two buckets (a walk's intervals have k, l >= 1,
+  /// so row -1 never comes up), so loads are not counted apart.
+  struct Counts {
+    std::uint64_t backward_exts = 0;
+    std::uint64_t forward_exts = 0;
+    std::uint64_t prefetches = 0;
+    std::uint64_t smems_found = 0;
+  } counts;
 };
 
 /// All SMEMs overlapping position x with interval size >= min_intv.

@@ -169,18 +169,6 @@ TEST(BswBatch, ResultsIndependentOfSortingAndIsa) {
   }
 }
 
-TEST(BswBatch, Force16BitMatchesAutoSplit) {
-  JobPool pool(200, 555);
-  const KswParams p;
-  BswBatchOptions a, b;
-  b.force_16bit = true;
-  std::vector<KswResult> ra, rb;
-  BswExecutor executor;
-  executor.run(pool.jobs, ra, p, a, nullptr);
-  executor.run(pool.jobs, rb, p, b, nullptr);
-  EXPECT_EQ(ra, rb);
-}
-
 TEST(BswBatch, EmptyBatchIsFine) {
   std::vector<ExtendJob> none;
   std::vector<KswResult> out(3);  // stale results are cleared

@@ -1,7 +1,15 @@
 // FM-index invariants: occ backends vs naive counting, CP128 == CP32,
 // backward/forward extension vs brute-force substring search over the
-// doubled text, bucket layout static properties.
+// doubled text, bucket layout static properties, and a seeded property test
+// of the one-base steps against the four-base extensions (a failure names
+// its case seed; `test_fm_index --seed=N` replays exactly that case).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "index/bwt.h"
 #include "index/fm_index.h"
@@ -10,6 +18,12 @@
 #include "util/rng.h"
 
 namespace mem2::index {
+namespace step_seed {
+// Set by --seed=N: run only that case.
+std::uint64_t g_replay = 0;
+bool g_have_replay = false;
+}  // namespace step_seed
+
 namespace {
 
 struct Fixture {
@@ -195,5 +209,102 @@ TEST(FmIndex, LfStepWalksTextBackwards) {
   }
 }
 
+// ---------------------------------------------- one-base step property test
+
+constexpr int kStepCases = 120;
+constexpr std::uint64_t kStepBaseSeed = 0x5e9a11;
+
+/// backward_ext1 / forward_ext1 against backward_ext(in)[c] /
+/// forward_ext(in)[c] for every c on one interval.
+template <class Fm>
+void check_steps(const Fm& fm, const BiInterval& in) {
+  SCOPED_TRACE(std::string(Fm::occ_type::name()) + " k=" + std::to_string(in.k) +
+               " l=" + std::to_string(in.l) + " s=" + std::to_string(in.s) +
+               " primary=" + std::to_string(fm.primary()) +
+               " N=" + std::to_string(fm.seq_len()));
+  BiInterval back[4], fwd[4];
+  fm.backward_ext(in, back);
+  fm.forward_ext(in, fwd);
+  for (int c = 0; c < 4; ++c) {
+    ASSERT_EQ(fm.backward_ext1(in, c), back[c]) << "c=" << c;
+    ASSERT_EQ(fm.forward_ext1(in, c), fwd[c]) << "c=" << c;
+  }
+}
+
+/// One case: a random genome (its length decides how full the last bucket
+/// of each backend is), then random intervals and the edge cases on both
+/// backends.  Rows run 0..N; an interval [k, k+s-1] reads rows k-1 and
+/// k+s-1, so k = 0 reads row -1.
+void step_case(std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  Fixture fx(static_cast<std::int64_t>(20 + rng.below(1500)), seed);
+  const idx_t n = fx.fm32.seq_len();
+  const idx_t primary = fx.fm32.primary();
+  auto below = [&](idx_t m) {
+    return static_cast<idx_t>(rng.below(static_cast<std::uint64_t>(m)));
+  };
+  // k in [0, N+1] and s in [0, N+1-k]; l is opaque to the step but kept in
+  // range so the result stays a valid interval.
+  auto with = [&](idx_t k, idx_t s) { return BiInterval{k, below(n + 2 - s), s}; };
+
+  std::vector<BiInterval> cases;
+  for (int t = 0; t < 60; ++t) {
+    const idx_t k = below(n + 2);
+    cases.push_back(with(k, below(n + 2 - k)));
+  }
+  for (const idx_t s : {idx_t{0}, idx_t{1}, below(n + 2)}) cases.push_back(with(0, s));
+  for (int t = 0; t < 8; ++t) {
+    cases.push_back(with(below(n + 2), 0));
+    cases.push_back(with(below(n + 1), 1));
+    const idx_t k = below(primary + 1);  // spans the primary (sentinel) row
+    cases.push_back(with(k, primary - k + 1 + below(n + 1 - primary)));
+  }
+  cases.push_back(with(primary, 1));  // the primary row alone
+  cases.push_back(fx.fm32.full_interval());
+  // Rows in the last, partial bucket of either backend (its positions past
+  // the text are zero padding that the prefix mask must drop).
+  for (const idx_t bucket : {idx_t{OccCp32::kBucket}, idx_t{OccCp128::kBucket}}) {
+    const idx_t first = std::max<idx_t>(1, n - n % bucket);
+    for (int t = 0; t < 6; ++t) {
+      const idx_t k = first + below(n + 2 - first);
+      cases.push_back(with(k, below(n + 2 - k)));
+    }
+    cases.push_back(with(first, n + 1 - first));  // ends at row N
+  }
+
+  for (const BiInterval& in : cases) {
+    ASSERT_LE(in.k + in.s, n + 1);
+    ASSERT_NO_FATAL_FAILURE(check_steps(fx.fm32, in));
+    ASSERT_NO_FATAL_FAILURE(check_steps(fx.fm128, in));
+  }
+}
+
+TEST(FmIndex, OneBaseStepsMatchFourBaseExtensions) {
+  const auto one = [](std::uint64_t seed) {
+    SCOPED_TRACE("replay with: test_fm_index --seed=" + std::to_string(seed));
+    step_case(seed);
+  };
+  if (step_seed::g_have_replay) {
+    one(step_seed::g_replay);
+    return;
+  }
+  for (int k = 0; k < kStepCases && !::testing::Test::HasFailure(); ++k)
+    one(kStepBaseSeed + static_cast<std::uint64_t>(k));
+}
+
 }  // namespace
 }  // namespace mem2::index
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg.rfind("--seed=", 0) == 0) {
+      mem2::index::step_seed::g_replay = std::strtoull(argv[i] + 7, nullptr, 0);
+      mem2::index::step_seed::g_have_replay = true;
+      std::printf("replaying case seed %llu\n",
+                  static_cast<unsigned long long>(mem2::index::step_seed::g_replay));
+    }
+  }
+  return RUN_ALL_TESTS();
+}

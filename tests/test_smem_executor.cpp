@@ -414,22 +414,21 @@ TEST(SmemOracle, ExecutorMatchesSerialWalk) {
 
 // ------------------------------------------------------------ exception path
 
-/// FmIndexCp32 whose nth backward_ext throws: drives collect()'s unwind with
+/// FmIndexCp32 whose nth backward_ext1 throws: drives collect()'s unwind with
 /// the other lanes suspended mid-walk.
 class ThrowingFm {
  public:
   ThrowingFm(const index::FmIndexCp32& fm, std::uint64_t nth) : fm_(fm), left_(nth) {}
 
   index::BiInterval set_intv(int c) const { return fm_.set_intv(c); }
-  void forward_ext(const index::BiInterval& in, index::BiInterval out[4]) const {
-    fm_.forward_ext(in, out);
+  index::BiInterval forward_ext1(const index::BiInterval& in, int c) const {
+    return fm_.forward_ext1(in, c);
   }
-  void backward_ext(const index::BiInterval& in, index::BiInterval out[4]) const {
-    if (--left_ == 0) throw invariant_error("injected backward_ext failure");
-    fm_.backward_ext(in, out);
+  index::BiInterval backward_ext1(const index::BiInterval& in, int c) const {
+    if (--left_ == 0) throw invariant_error("injected backward_ext1 failure");
+    return fm_.backward_ext1(in, c);
   }
-  void prefetch_interval(const index::BiInterval& bi) const { fm_.prefetch_interval(bi); }
-  void prefetch_forward(const index::BiInterval& bi) const { fm_.prefetch_forward(bi); }
+  void prefetch_rows(idx_t first, idx_t s) const { fm_.prefetch_rows(first, s); }
 
  private:
   const index::FmIndexCp32& fm_;
@@ -446,20 +445,25 @@ TEST(SmemExecutor, ThrowLeavesNoSuspendedWalk) {
 
   SmemExecutor ex(8);
   for (const std::uint64_t nth : {std::uint64_t{1}, total / 2, total}) {
-    SCOPED_TRACE("throw on backward_ext " + std::to_string(nth) + " of " +
+    SCOPED_TRACE("throw on backward_ext1 " + std::to_string(nth) + " of " +
                  std::to_string(total));
     std::vector<std::vector<Smem>> out(fx.queries.size());
     std::vector<QueryRef> refs(fx.queries.size());
     for (std::size_t i = 0; i < fx.queries.size(); ++i)
       refs[i] = QueryRef{fx.queries[i], &out[i]};
     const ThrowingFm thrower(fx.index.fm32(), nth);
+    util::SwCounters mark = util::tls_counters();
     EXPECT_THROW(ex.collect(thrower, refs, opt, util::PrefetchPolicy{true}),
                  invariant_error);
     EXPECT_EQ(ex.live_walks(), 0);  // every lane's frame died with collect()
+    // The lanes' counts left with the exception: every step before the throw.
+    EXPECT_EQ((util::tls_counters() - mark).backward_exts, nth - 1);
 
     // The same executor serves the next batch as if nothing happened.
+    mark = util::tls_counters();
     ex.collect(fx.index.fm32(), refs, opt, util::PrefetchPolicy{true});
     for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_EQ(expect[i], out[i]) << "read " << i;
+    EXPECT_EQ((util::tls_counters() - mark).backward_exts, total);
   }
 }
 
