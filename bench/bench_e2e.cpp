@@ -181,12 +181,11 @@ int run_paired_suite(bool smoke) {
   const auto& c = runs[0].counters;
   std::printf(
       "\n  mate rescue: rescued_pairs=%llu rescue_jobs=%llu (windows=%llu "
-      "skipped=%llu deduped=%llu hits=%llu) proper_pairs=%llu of %lld\n",
+      "skipped=%llu hits=%llu) proper_pairs=%llu of %lld\n",
       static_cast<unsigned long long>(c.pe_rescued_pairs),
       static_cast<unsigned long long>(c.pe_rescue_jobs),
       static_cast<unsigned long long>(c.pe_rescue_windows),
       static_cast<unsigned long long>(c.pe_rescue_win_skipped),
-      static_cast<unsigned long long>(c.pe_rescue_win_deduped),
       static_cast<unsigned long long>(c.pe_rescue_hits),
       static_cast<unsigned long long>(c.pe_proper_pairs),
       static_cast<long long>(cfg.num_pairs));
@@ -201,13 +200,11 @@ int run_paired_suite(bool smoke) {
     std::fprintf(f,
                  "  \"rescued_pairs\": %llu,\n  \"rescue_jobs\": %llu,\n"
                  "  \"rescue_windows\": %llu,\n  \"rescue_win_skipped\": %llu,\n"
-                 "  \"rescue_win_deduped\": %llu,\n  \"rescue_hits\": %llu,\n"
-                 "  \"proper_pairs\": %llu,\n",
+                 "  \"rescue_hits\": %llu,\n  \"proper_pairs\": %llu,\n",
                  static_cast<unsigned long long>(c.pe_rescued_pairs),
                  static_cast<unsigned long long>(c.pe_rescue_jobs),
                  static_cast<unsigned long long>(c.pe_rescue_windows),
                  static_cast<unsigned long long>(c.pe_rescue_win_skipped),
-                 static_cast<unsigned long long>(c.pe_rescue_win_deduped),
                  static_cast<unsigned long long>(c.pe_rescue_hits),
                  static_cast<unsigned long long>(c.pe_proper_pairs));
     std::fprintf(f, "  \"runs\": [\n");

@@ -7,7 +7,7 @@
 //
 // End-to-end: the bench_e2e --paired workload run with rescue skipping off
 // and on, reporting PAIR-stage seconds and the windows
-// scanned/skipped/deduped counters.  Proper-pair and rescued-pair counts
+// scanned/skipped counters.  Proper-pair and rescued-pair counts
 // must be identical across the two runs (the determinism-preserving claim);
 // the bench exits non-zero if they drift.  --smoke caps sizes for CI.
 #include <cstring>
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
 
   bench::print_header("PAIR stage: rescue skipping off vs on (single thread)");
   bench::print_row("rescue_skip", {"total (s)", "PAIR (s)", "scanned", "skipped",
-                                   "deduped", "jobs", "proper", "rescued"});
+                                   "jobs", "proper", "rescued"});
   std::vector<E2eRun> runs;
   for (const bool skip : {false, true}) {
     runs.push_back(run_e2e(index, reads, skip));
@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
                      {bench::fmt(r.seconds, 2), bench::fmt(r.pair_seconds, 2),
                       std::to_string(r.c.pe_rescue_windows),
                       std::to_string(r.c.pe_rescue_win_skipped),
-                      std::to_string(r.c.pe_rescue_win_deduped),
                       std::to_string(r.c.pe_rescue_jobs),
                       std::to_string(r.c.pe_proper_pairs),
                       std::to_string(r.c.pe_rescued_pairs)});
@@ -201,14 +200,12 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"rescue_skip\": %s, \"seconds\": %.6f, "
                    "\"pair_stage_seconds\": %.6f,\n"
-                   "     \"windows_scanned\": %llu, \"windows_skipped\": %llu, "
-                   "\"windows_deduped\": %llu,\n"
+                   "     \"windows_scanned\": %llu, \"windows_skipped\": %llu,\n"
                    "     \"rescue_jobs\": %llu, \"rescue_hits\": %llu, "
                    "\"proper_pairs\": %llu, \"rescued_pairs\": %llu}%s\n",
                    r.rescue_skip ? "true" : "false", r.seconds, r.pair_seconds,
                    static_cast<unsigned long long>(r.c.pe_rescue_windows),
                    static_cast<unsigned long long>(r.c.pe_rescue_win_skipped),
-                   static_cast<unsigned long long>(r.c.pe_rescue_win_deduped),
                    static_cast<unsigned long long>(r.c.pe_rescue_jobs),
                    static_cast<unsigned long long>(r.c.pe_rescue_hits),
                    static_cast<unsigned long long>(r.c.pe_proper_pairs),

@@ -24,11 +24,11 @@
 // (pair/pairing.h) then run per pair.
 //
 // Cross-batch buffers live in containers owned by BatchWorkspace whose
-// capacity persists, plus an Arena for the per-read code buffers and the
-// chain reference windows (one block per read; BSW results sit in one flat
-// per-read table), and, in paired mode, one RescueWindowBuffers for the
-// rescue windows.  Every reference window, chain or rescue, is unpacked
-// with its reversal in one pass (Mem2Index::fetch).  After the first batch
+// capacity persists, plus one batch Arena for the per-read code buffers,
+// the chain reference windows (one block per read; BSW results sit in one
+// flat per-read table) and, in paired mode, the rescue windows that have
+// anchors.  Every reference window, chain or rescue, is unpacked with its
+// reversal in one pass (Mem2Index::fetch).  After the first batch
 // the steady state performs no system allocations for them (§3.2).  Still
 // allocating per batch: the chain lists themselves (one seed vector per
 // chain).  The workspace is caller-owned so the streaming session can keep
@@ -156,11 +156,12 @@ struct BatchWorkspace::Impl {
   JobPool<SeedRef> seed_pool;
   std::vector<bsw::KswResult> results;
   bsw::BswExecutor executor;
-  // Paired mode: rescue attempts in pair order, the windows they view, the
+  // Paired mode: rescue attempts in pair order, the staging slot each
+  // rescue window is fetched into (with its reversal) and scanned in, the
   // rescued mate's sorted region starts (skip-test scratch) and the rescue
   // rounds' buffers.
   std::vector<pair::RescueAttempt> attempts;
-  pair::RescueWindowBuffers rescue_windows;
+  std::vector<seq::Code> rescue_staging;
   std::vector<idx_t> mate_rb;
   JobPool<RescueRef> rescue_pool;
 };
@@ -441,26 +442,22 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
   // starts are sorted once, so each anchor region's already-satisfied
   // orientation classes are one binary search each (pair::satisfied_dirs).
   // Windows are visited in a fixed canonical order (anchor region rank,
-  // then orientation class), fetched with their reversal in one pass into
-  // the workspace's RescueWindowBuffers, and run through three layers, all
-  // of whose state is local to the pair — so the harvest stays invariant
-  // across chunkings and batch sizes:
+  // then orientation class) and run through two layers, all of whose state
+  // is local to the pair — so the harvest stays invariant across chunkings
+  // and batch sizes:
   //   1. skip (popt.rescue_skip): once a window's anchor carries an exact
   //      match run >= min_seed_len, an accepted rescue for this (mate,
   //      orientation) is guaranteed, and later windows of the same class
   //      are skipped before the reference fetch (bwa mem_matesw's
   //      sequential stop-when-satisfied, made order-canonical);
-  //   2. dedup: a window byte-identical to an earlier window of the same
-  //      mate (repeat copies; verified by fingerprint + full compare)
-  //      reuses the earlier anchor scan and BSW results instead of
-  //      rescanning and re-extending — output-identical, work-free;
-  //   3. scan: the filtered 2-bit RescueScanner, built once per mate
-  //      orientation and rolled across each surviving window. ---
+  //   2. scan: the window is fetched with its reversal in one pass into the
+  //      workspace's staging slot and scanned by the filtered 2-bit
+  //      RescueScanner, built once per mate orientation.  Only a window
+  //      with anchors is copied into the batch arena, for its attempt. ---
   attempts.clear();
   {
     util::TraceSpan harvest_span("pair-harvest");
-    pair::RescueWindowBuffers& buffers = ws.rescue_windows;
-    buffers.reset();
+    std::vector<seq::Code>& staging = ws.rescue_staging;
     const int rescue_k = popt.rescue_seed_len;
     for (int p = 0; p < n_pairs; ++p) {
       for (int e = 0; e < 2; ++e) {
@@ -471,16 +468,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
         pair::RescueScanner scanners[2];  // [is_rev], built on first window
         bool scanner_built[2] = {false, false};
         bool satisfied[4] = {false, false, false, false};
-        // An anchor with an exact run >= min_seed_len guarantees an
-        // accepted rescue for its (mate, orientation).
-        const auto note_satisfied = [&](const pair::RescueAttempt& at, int d) {
-          if (!popt.rescue_skip) return;
-          for (int an = 0; an < at.n_anchors; ++an)
-            if (at.anchors[static_cast<std::size_t>(an)].exact_run >=
-                mopt.seeding.min_seed_len)
-              satisfied[d] = true;
-        };
-        buffers.begin_mate();
         ws.mate_rb.clear();
         for (const AlnReg& m : rm.regs) ws.mate_rb.push_back(m.rb);
         std::sort(ws.mate_rb.begin(), ws.mate_rb.end());
@@ -523,37 +510,29 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
             at.is_rev = w.is_rev;
             at.rid = a.rid;
             at.win_rb = w.rb;
-            const std::span<const seq::Code> win = buffers.stage(index, w);
-            // Dedup against this mate's earlier windows.
-            if (const auto canon = buffers.find_duplicate()) {
-              ++util::tls_counters().pe_rescue_win_deduped;
-              if (*canon < 0) continue;  // repeated anchor-less window
-              const pair::RescueAttempt& src = attempts[static_cast<std::size_t>(*canon)];
-              at.win = src.win;
-              at.win_rev = src.win_rev;
-              at.n_anchors = src.n_anchors;
-              at.anchors = src.anchors;  // geometry now; results replayed later
-              at.dup_of = *canon;
-              note_satisfied(at, d);
-              attempts.push_back(at);
-              continue;
-            }
+            const std::size_t n = static_cast<std::size_t>(w.re - w.rb);
+            if (staging.size() < 2 * n) staging.resize(2 * n);  // grow only
+            index.fetch(w.rb, w.re, staging.data(), staging.data() + n);
             ++util::tls_counters().pe_rescue_windows;
-            const std::span<const seq::Code> seq =
-                w.is_rev ? rm.query_rc : rm.query;
-            pair::RescueScanner& scanner = scanners[w.is_rev ? 1 : 0];
-            if (!scanner_built[w.is_rev ? 1 : 0]) {
-              scanner.build(seq, rescue_k, pair::kRescueHashBits);
-              scanner_built[w.is_rev ? 1 : 0] = true;
+            const int o = w.is_rev ? 1 : 0;
+            if (!scanner_built[o]) {
+              scanners[o].build(w.is_rev ? rm.query_rc : rm.query, rescue_k,
+                                pair::kRescueHashBits);
+              scanner_built[o] = true;
             }
-            at.n_anchors =
-                scanner.scan(win, popt.max_rescue_anchors, at.anchors.data());
-            if (at.n_anchors == 0) {
-              buffers.keep_anchorless();
-              continue;
-            }
-            note_satisfied(at, d);
-            buffers.keep(at, static_cast<std::int32_t>(attempts.size()));
+            at.n_anchors = scanners[o].scan({staging.data(), n}, popt.max_rescue_anchors,
+                                            at.anchors.data());
+            if (at.n_anchors == 0) continue;
+            // An anchor with an exact run >= min_seed_len guarantees an
+            // accepted rescue for its (mate, orientation).
+            for (int an = 0; an < at.n_anchors; ++an)
+              if (at.anchors[static_cast<std::size_t>(an)].exact_run >=
+                  mopt.seeding.min_seed_len)
+                satisfied[d] = true;
+            seq::Code* kept = ws.arena.allocate_array<seq::Code>(2 * n);
+            std::copy_n(staging.data(), 2 * n, kept);
+            at.win = {kept, n};
+            at.win_rev = {kept + n, n};
             attempts.push_back(at);
           }
         }
@@ -571,7 +550,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
     rescue_jobs += pooled_round(env, ws.rescue_pool, attempts.size(),
                                 [&](std::size_t ai, const auto& emit) {
       const pair::RescueAttempt& at = attempts[ai];
-      if (at.dup_of >= 0) return;  // replayed from the canonical attempt
       const ReadState& rm = states[static_cast<std::size_t>(2 * at.pair + at.mate)];
       const int l_ms = static_cast<int>(rm.query.size());
       const int l_win = static_cast<int>(at.win.size());
@@ -605,13 +583,6 @@ void batch_pair_stage(const index::Mem2Index& index, std::span<const seq::Read> 
       (side == 0 ? anchor.have_left : anchor.have_right) = true;
     });
   }
-  // Replay extension results into deduped attempts: identical window
-  // content + identical oriented mate => identical jobs => identical
-  // results, so copying is exact, and finalize still maps each duplicate
-  // through its own (win_rb, is_rev, rid).
-  for (pair::RescueAttempt& at : attempts)
-    if (at.dup_of >= 0)
-      at.anchors = attempts[static_cast<std::size_t>(at.dup_of)].anchors;
   util::tls_counters().pe_rescue_jobs += rescue_jobs;
 
   // --- Finalize, per pair: splice rescue hits into the mates' region

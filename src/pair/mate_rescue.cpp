@@ -82,51 +82,6 @@ void satisfied_dirs(idx_t l_pac, idx_t b1, std::span<const idx_t> mate_rb,
   }
 }
 
-void RescueWindowBuffers::reset() {
-  batch_.reset();
-  begin_mate();
-}
-
-void RescueWindowBuffers::begin_mate() {
-  seen_.clear();
-  mate_.reset();
-}
-
-std::span<const seq::Code> RescueWindowBuffers::stage(const index::Mem2Index& index,
-                                                      const RescueWindow& w) {
-  const std::size_t n = static_cast<std::size_t>(w.re - w.rb);
-  if (staged_.size() < 2 * n) staged_.resize(2 * n);  // grow only: no refill
-  index.fetch(w.rb, w.re, staged_.data(), staged_.data() + n);
-  staged_len_ = static_cast<std::uint32_t>(n);
-  staged_rev_ = w.is_rev;
-  const std::span<const seq::Code> bases(staged_.data(), n);
-  staged_fp_ = window_fingerprint(bases);
-  return bases;
-}
-
-std::optional<std::int32_t> RescueWindowBuffers::find_duplicate() const {
-  for (const Seen& s : seen_)
-    if (s.fp == staged_fp_ && s.len == staged_len_ && s.is_rev == staged_rev_ &&
-        std::equal(s.bases, s.bases + s.len, staged_.data()))
-      return s.attempt;
-  return std::nullopt;
-}
-
-void RescueWindowBuffers::keep(RescueAttempt& at, std::int32_t index) {
-  const std::size_t n = staged_len_;
-  seq::Code* copy = batch_.allocate_array<seq::Code>(2 * n);
-  std::copy_n(staged_.data(), 2 * n, copy);
-  at.win = {copy, n};
-  at.win_rev = {copy + n, n};
-  seen_.push_back({staged_fp_, copy, staged_len_, staged_rev_, index});
-}
-
-void RescueWindowBuffers::keep_anchorless() {
-  seq::Code* copy = mate_.allocate_array<seq::Code>(staged_len_);
-  std::copy_n(staged_.data(), staged_len_, copy);
-  seen_.push_back({staged_fp_, copy, staged_len_, staged_rev_, -1});
-}
-
 namespace {
 
 /// Per-anchor endpoint math — the same left/right combination rules as

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 
 #include "bsw/ksw.h"
@@ -71,27 +70,6 @@ struct RescueAnchor {
   bsw::KswResult left, right;
   bool have_left = false, have_right = false;
 };
-
-/// Content fingerprint of a fetched rescue window, used by the driver to
-/// dedup byte-identical repeat windows before BSW job pooling.  Candidates
-/// matching on (fingerprint, length, orientation) are verified by a full
-/// compare before deduping, so collisions cost a memcmp, never correctness.
-/// Hashes eight codes per multiply.
-inline std::uint64_t window_fingerprint(std::span<const seq::Code> win) {
-  constexpr std::uint64_t kPrime = 0x00000100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL ^
-                    (win.size() * 0x9e3779b97f4a7c15ULL);
-  std::size_t i = 0;
-  for (; i + 8 <= win.size(); i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, win.data() + i, 8);
-    h = (h ^ w) * kPrime;
-    h ^= h >> 32;
-  }
-  std::uint64_t tail = 0;
-  if (i < win.size()) std::memcpy(&tail, win.data() + i, win.size() - i);
-  return (h ^ tail) * kPrime;
-}
 
 /// Reference scan (the property-test oracle): for each window offset in
 /// ascending order, try every probe in ascending query-offset order, keep

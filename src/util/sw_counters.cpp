@@ -28,7 +28,6 @@ constexpr std::array kFields = {
     MEM2_SW_FIELD(io_records_skipped),
     MEM2_SW_FIELD(pe_rescue_windows),
     MEM2_SW_FIELD(pe_rescue_win_skipped),
-    MEM2_SW_FIELD(pe_rescue_win_deduped),
     MEM2_SW_FIELD(pe_rescue_jobs),
     MEM2_SW_FIELD(pe_rescue_hits),
     MEM2_SW_FIELD(pe_rescued_pairs),

@@ -48,7 +48,6 @@ struct SwCounters {
   // Paired-end stage (mate rescue + pair scoring)
   std::uint64_t pe_rescue_windows = 0;  // rescue windows anchor-scanned
   std::uint64_t pe_rescue_win_skipped = 0;  // skipped: earlier window already satisfied the (mate, orientation)
-  std::uint64_t pe_rescue_win_deduped = 0;  // content-identical to an earlier window of the pair
   std::uint64_t pe_rescue_jobs = 0;     // BSW jobs dispatched by rescue
   std::uint64_t pe_rescue_hits = 0;     // rescue alignments added to a mate
   std::uint64_t pe_rescued_pairs = 0;   // proper pairs whose chosen region came from rescue

@@ -312,28 +312,6 @@ TEST(RescueScan, DegenerateInputs) {
   EXPECT_EQ(scanner.scan(win, kMaxRescueAnchors, out), 0);
 }
 
-TEST(RescueScan, FingerprintDistinguishesContent) {
-  util::Xoshiro256ss rng(8);
-  for (const int len : {0, 1, 7, 8, 9, 200, 203}) {
-    auto a = random_codes(rng, len, 0.0);
-    auto b = a;
-    EXPECT_EQ(window_fingerprint(a), window_fingerprint(b)) << "len " << len;
-    // One changed base, in a whole 8-code word or in the tail, changes it.
-    for (int at = 0; at < len; at += 3) {
-      b[static_cast<std::size_t>(at)] =
-          static_cast<seq::Code>((b[static_cast<std::size_t>(at)] + 1) & 3);
-      EXPECT_NE(window_fingerprint(a), window_fingerprint(b))
-          << "len " << len << " at " << at;
-      b = a;
-    }
-    // Length participates: a prefix is not the same fingerprint.
-    if (len > 0) {
-      std::vector<seq::Code> prefix(a.begin(), a.end() - 1);
-      EXPECT_NE(window_fingerprint(a), window_fingerprint(prefix)) << "len " << len;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mem2::pair
 
