@@ -97,15 +97,18 @@ int approx_mapq(const AlnReg& a, const MemOptions& opt) {
   int mapq;
   if (a.score == 0) {
     mapq = 0;
-  } else {
+  } else if (opt.mapq_coef_len > 0) {
     double t = l < opt.mapq_coef_len ? 1.0 : opt.mapq_coef_fac / std::log(l);
     t *= identity * identity;
     mapq = static_cast<int>(6.02 * (a.score - sub) / opt.ksw.a * t * t + .499);
+  } else {  // bwa's seed-coverage model (MEM_MAPQ_COEF = 30)
+    mapq = static_cast<int>(30.0 * (1.0 - static_cast<double>(sub) / a.score) *
+                                std::log(a.seedcov) + .499);
+    if (identity < 0.95) mapq = static_cast<int>(mapq * identity * identity + .499);
   }
   if (a.sub_n > 0) mapq -= static_cast<int>(4.343 * std::log(a.sub_n + 1) + .499);
   mapq = std::clamp(mapq, 0, 60);
-  mapq = static_cast<int>(mapq * (1.0 - a.frac_rep) * .999);
-  return mapq;
+  return static_cast<int>(mapq * (1.0 - a.frac_rep) + .499);
 }
 
 }  // namespace mem2::align

@@ -74,10 +74,10 @@ TEST(Regions, DisjointQueryIntervalsAreBothPrimary) {
   EXPECT_EQ(regs[1].secondary, -1);
 }
 
-TEST(Mapq, UniqueStrongHitScoresHigh) {
+TEST(Mapq, UniqueExactHitScoresSixty) {
   MemOptions opt;
   AlnReg r = make_reg(1000, 1101, 0, 101, 101);
-  EXPECT_GE(approx_mapq(r, opt), 50);
+  EXPECT_EQ(approx_mapq(r, opt), 60);
 }
 
 TEST(Mapq, CloseCompetitorDropsToZeroish) {
@@ -95,6 +95,21 @@ TEST(Mapq, RepetitiveFractionScalesDown) {
   const int clean = approx_mapq(r, opt);
   r.frac_rep = 0.9f;
   EXPECT_LT(approx_mapq(r, opt), clean / 2);
+  // bwa rounds the scaled value: 60 * 0.5 is 30, not 29.
+  r.frac_rep = 0.5f;
+  EXPECT_EQ(approx_mapq(r, opt), 30);
+  r.frac_rep = 0.25f;
+  EXPECT_EQ(approx_mapq(r, opt), 45);
+}
+
+TEST(Mapq, NonPositiveCoefLenUsesSeedCoverage) {
+  MemOptions opt;
+  AlnReg r = make_reg(1000, 1101, 0, 101, 101);
+  r.sub = 90;
+  r.seedcov = 50;
+  EXPECT_EQ(approx_mapq(r, opt), 48);  // length model: 6.02 * 11 * t^2
+  opt.mapq_coef_len = 0;
+  EXPECT_EQ(approx_mapq(r, opt), 13);  // 30 * (1 - 90/101) * ln 50
 }
 
 TEST(Mapq, SuboptimalCountPenalty) {
