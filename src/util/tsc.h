@@ -22,18 +22,36 @@ inline std::uint64_t tsc_now() {
 #endif
 }
 
-/// Ticks per second, calibrated on first use (~2 ms busy measurement).
+/// Ticks per second, calibrated on first use: the TSC ticks between two
+/// steady_clock reads ~2 ms apart.  Each steady_clock read is bracketed by
+/// two TSC reads and dated at the bracket's midpoint; of several brackets
+/// the narrowest is kept, so a stall inside a bracket (preemption, an
+/// interrupt) is discarded instead of inflating the tick count — which
+/// would make every converted duration read short.
 inline double tsc_ticks_per_second() {
   static const double tps = [] {
 #if defined(__x86_64__) || defined(_M_X64)
-    const auto w0 = std::chrono::steady_clock::now();
-    const std::uint64_t t0 = tsc_now();
-    for (;;) {
-      const auto w1 = std::chrono::steady_clock::now();
-      const std::chrono::duration<double> dt = w1 - w0;
-      if (dt.count() >= 2e-3)
-        return static_cast<double>(tsc_now() - t0) / dt.count();
+    struct Stamp {
+      std::chrono::steady_clock::time_point wall;
+      std::uint64_t tsc = 0;  // bracket midpoint
+      std::uint64_t width = ~std::uint64_t{0};
+    };
+    const auto stamp = [] {
+      Stamp best;
+      for (int i = 0; i < 8; ++i) {
+        const std::uint64_t t0 = tsc_now();
+        const auto wall = std::chrono::steady_clock::now();
+        const std::uint64_t t1 = tsc_now();
+        if (t1 - t0 < best.width) best = {wall, t0 + (t1 - t0) / 2, t1 - t0};
+      }
+      return best;
+    };
+    const Stamp a = stamp();
+    while (std::chrono::steady_clock::now() - a.wall < std::chrono::milliseconds(2)) {
     }
+    const Stamp b = stamp();
+    const std::chrono::duration<double> dt = b.wall - a.wall;
+    return static_cast<double>(b.tsc - a.tsc) / dt.count();
 #else
     return 1e9;  // steady_clock fallback counts nanoseconds
 #endif
