@@ -103,7 +103,7 @@ int approx_mapq(const AlnReg& a, const MemOptions& opt) {
     mapq = static_cast<int>(6.02 * (a.score - sub) / opt.ksw.a * t * t + .499);
   } else {  // bwa's seed-coverage model (MEM_MAPQ_COEF = 30)
     mapq = static_cast<int>(30.0 * (1.0 - static_cast<double>(sub) / a.score) *
-                                std::log(a.seedcov) + .499);
+                                std::log(std::max(a.seedcov, 1)) + .499);
     if (identity < 0.95) mapq = static_cast<int>(mapq * identity * identity + .499);
   }
   if (a.sub_n > 0) mapq -= static_cast<int>(4.343 * std::log(a.sub_n + 1) + .499);
