@@ -138,8 +138,7 @@ constexpr PeBound kPeBounds[] = {
 
 TEST(Accuracy, PairedAgainstSimulatorTruth) {
   for (const PeBound& b : kPeBounds) {
-    const double damage = b.damage;
-    if (small_run() && damage != 0.3) continue;
+    if (small_run() && b.damage != 0.3) continue;
     seq::PairSimConfig pc;
     pc.seed = 99;
     pc.num_pairs = 1000;
@@ -147,15 +146,15 @@ TEST(Accuracy, PairedAgainstSimulatorTruth) {
     pc.insert_mean = 380;
     pc.insert_std = 40;
     pc.substitution_rate = 0.005;
-    pc.damage_fraction = damage;
+    pc.damage_fraction = b.damage;
     const auto reads = seq::simulate_pairs(accuracy_index().ref(), pc);
     const int se = correct_mates(align_all(reads, /*paired=*/false), false);
     const int pe = correct_mates(align_all(reads, /*paired=*/true), true);
     const double frac = static_cast<double>(pe) / static_cast<double>(reads.size());
-    std::printf("PE damage %.2f: %zu reads, correct SE %d, PE %d (%.4f)\n", damage,
+    std::printf("PE damage %.2f: %zu reads, correct SE %d, PE %d (%.4f)\n", b.damage,
                 reads.size(), se, pe, frac);
-    EXPECT_GE(pe, se) << "damage " << damage;
-    EXPECT_GE(frac, b.min_correct_frac) << "damage " << damage;
+    EXPECT_GE(pe, se) << "damage " << b.damage;
+    EXPECT_GE(frac, b.min_correct_frac) << "damage " << b.damage;
   }
 }
 
